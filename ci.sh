@@ -116,4 +116,15 @@ rm -rf "$JDIR"
 echo "==> suite smoke run (--quick, machine-readable)"
 cargo run --release -p svtox-bench --bin suite -- --quick --threads 0 --json > /dev/null
 
+echo "==> svbench smoke (benchmark harness: format, build, every workload's checks)"
+# svbench is a workspace of its own that times the crates' public API from
+# outside, so a renamed function or a changed result breaks it without
+# breaking any test above. One-second runs build it and run every
+# workload's result checks; a failed check exits non-zero.
+cargo fmt --manifest-path svbench/Cargo.toml -- --check
+for WORKLOAD in prove iscas exact serve; do
+  cargo run --release --offline --quiet --manifest-path svbench/Cargo.toml -- \
+    --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "==> CI green"

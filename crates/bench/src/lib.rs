@@ -425,6 +425,11 @@ mod tests {
             );
             assert!(
                 snap.iter()
+                    .any(|(n, v)| n == "core.bound.rebounds" && *v > 0),
+                "bound-tracker work counted"
+            );
+            assert!(
+                snap.iter()
                     .any(|(n, v)| n == "sim.vectors_sampled" && *v == 50),
                 "baseline sampling counted"
             );

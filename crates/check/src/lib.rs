@@ -23,6 +23,8 @@
 //!   branch and bound, serial vs parallel, tri-valued vs two-valued
 //!   simulation, incremental vs cold STA, leakage re-evaluation, parser
 //!   fuzzing, RNG uniformity, device-model calibration).
+//! * [`reference`] — slow reference implementations of optimized paths,
+//!   built from public APIs, for the differential properties.
 //! * [`report`] — per-property pass/fail/counterexample reports with text
 //!   and deterministic JSON rendering.
 //!
@@ -34,6 +36,7 @@
 
 pub mod corpus;
 pub mod domain;
+pub mod reference;
 pub mod report;
 pub mod runner;
 pub mod strategy;

@@ -12,6 +12,8 @@
 //! | `core.eco_eq_cold` | warm-seeded `rerun_after_edit` vs a cold re-optimization of the edited netlist, bit for bit at 1/2/4 workers |
 //! | `netlist.strash_preserves_function` | structurally-hashed netlist vs the original, lane-for-lane under `PackedSimulator`; census and idempotence |
 //! | `netlist.edit_eq_rebuild` | a random edit script applied incrementally vs a from-scratch rebuild of the same structure |
+//! | `core.bound_eq_reference` | event-driven, table-driven `BoundTracker` vs the static-cone `possible_states` reference, bit for bit after every step of a random DFS walk (repeats and X-undo included) on DAGs and c432/c880 |
+//! | `core.bound_sound` | `BoundTracker::bound()` ≤ the exhaustive minimum of Σ `min_leak` over every completion of a random partial vector, in all three modes; equal once every input is decided |
 //! | `sim.tri_covers_two` | `TriSimulator` possible-state sets vs two-valued `Simulator` |
 //! | `sim.packed_eq_scalar_two` | word-level `PackedSimulator` vs scalar `Simulator`, lane-for-lane on random vector batches (ragged tails included) |
 //! | `sim.packed_eq_scalar_tri` | dual-plane `PackedTriSimulator` vs scalar `TriSimulator` on random three-valued batches |
@@ -29,10 +31,13 @@
 use std::time::Duration;
 
 use svtox_cells::InputState;
-use svtox_core::{Budget, CheckpointSpec, PortfolioConfig, PortfolioOutcome, Problem, RunOutcome};
+use svtox_core::{
+    BoundTracker, Budget, CheckpointSpec, Mode, PortfolioConfig, PortfolioOutcome, Problem,
+    RunOutcome,
+};
 use svtox_exec::rng::Xoshiro256pp;
 use svtox_fault::{Fault, FaultPlan, Site, Trigger};
-use svtox_netlist::generators::random_dag;
+use svtox_netlist::generators::{benchmark, random_dag};
 use svtox_netlist::{parse_bench, strash};
 use svtox_sim::{
     vector_leakage, vector_leakage_batch, Logic, PackedSimulator, PackedTriSimulator, PackedTriVec,
@@ -45,6 +50,7 @@ use crate::domain::{
     random_circuit, random_edit_script, rebuild_netlist, test_library, BenchMutations, DagStrategy,
     OptConfigStrategy,
 };
+use crate::reference::ReferenceBoundTracker;
 use crate::report::PropertyReport;
 use crate::runner::{check_property, CheckConfig};
 use crate::strategy::{choice, int_range, AnyU64};
@@ -368,6 +374,144 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                                 edited.net(*post).name()
                             ));
                         }
+                    }
+                }
+                Ok(())
+            },
+            &scaled(0.5),
+        ));
+    }
+
+    // --- Event-driven bound tracker vs the static-cone reference. -------
+    // DFS-style walks: descend on a fresh input, re-set the top input to
+    // its own value, flip it to the sibling branch, or undo it to X. Every
+    // step must leave the two totals bit-identical.
+    if wanted("core.bound_eq_reference") {
+        let strategy = (choice(&[0usize, 1, 2]), DagStrategy::medium(), AnyU64);
+        reports.push(check_property(
+            "core.bound_eq_reference",
+            &strategy,
+            |(source, spec, walk_seed)| {
+                let n = match source {
+                    0 => random_dag(spec),
+                    1 => benchmark("c432"),
+                    _ => benchmark("c880"),
+                }
+                .map_err(|e| format!("generator: {e}"))?;
+                let problem =
+                    Problem::new(&n, &lib, TimingConfig::default()).map_err(|e| e.to_string())?;
+                let mut rng = Xoshiro256pp::seed_from_u64(*walk_seed);
+                let mode = Mode::ALL[rng.gen_index(Mode::ALL.len())];
+                let mut fast = BoundTracker::new(&problem, mode);
+                let mut slow = ReferenceBoundTracker::new(&problem, mode);
+                let inputs = n.num_inputs();
+                let mut levels = vec![Logic::X; inputs];
+                let mut stack: Vec<usize> = Vec::new();
+                for step in 0..(3 * inputs).min(150) {
+                    let (input, value) = match (rng.gen_index(10), stack.last()) {
+                        (0..=4, _) | (_, None) if stack.len() < inputs => {
+                            let free: Vec<usize> =
+                                (0..inputs).filter(|&i| levels[i] == Logic::X).collect();
+                            let input = free[rng.gen_index(free.len())];
+                            stack.push(input);
+                            (input, Logic::from(rng.gen_bool(0.5)))
+                        }
+                        (5, Some(&top)) => (top, levels[top]),
+                        (6, Some(&top)) => (top, levels[top].not()),
+                        (_, top) => {
+                            let top = *top.expect("a full stack is non-empty");
+                            stack.pop();
+                            (top, Logic::X)
+                        }
+                    };
+                    levels[input] = value;
+                    fast.set_input(input, value);
+                    slow.set_input(input, value);
+                    let (got, want) = (fast.bound().value(), slow.bound().value());
+                    if got.to_bits() != want.to_bits() {
+                        return Err(format!(
+                            "{mode:?} step {step}: set_input({input}, {value:?}) gave \
+                             bound {got:e}, reference {want:e}"
+                        ));
+                    }
+                }
+                Ok(())
+            },
+            &scaled(0.5),
+        ));
+    }
+
+    // --- Bound soundness against exhaustive completion. ----------------
+    if wanted("core.bound_sound") {
+        let strategy = (
+            DagStrategy {
+                inputs: (2, 10),
+                gates: (4, 48),
+                depth: (2, 6),
+            },
+            AnyU64,
+        );
+        reports.push(check_property(
+            "core.bound_sound",
+            &strategy,
+            |(spec, seed)| {
+                let n = random_dag(spec).map_err(|e| format!("generator: {e}"))?;
+                let problem =
+                    Problem::new(&n, &lib, TimingConfig::default()).map_err(|e| e.to_string())?;
+                let mut rng = Xoshiro256pp::seed_from_u64(*seed);
+                let mut sim = Simulator::new(&n);
+                for mode in Mode::ALL {
+                    let partial: Vec<Option<bool>> = (0..n.num_inputs())
+                        .map(|_| rng.gen_bool(0.5).then(|| rng.gen_bool(0.5)))
+                        .collect();
+                    let mut tracker = BoundTracker::new(&problem, mode);
+                    for (i, v) in partial.iter().enumerate() {
+                        if let Some(v) = v {
+                            tracker.set_input(i, Logic::from(*v));
+                        }
+                    }
+                    let bound = tracker.bound().value();
+                    // Every completion's Σ min_leak(kind, state).
+                    let free: Vec<usize> = (0..partial.len())
+                        .filter(|&i| partial[i].is_none())
+                        .collect();
+                    let mut best: Option<(f64, Vec<bool>)> = None;
+                    for bits in 0u32..(1 << free.len()) {
+                        let mut vector: Vec<bool> =
+                            partial.iter().map(|v| v.unwrap_or(false)).collect();
+                        for (k, &i) in free.iter().enumerate() {
+                            vector[i] = bits >> k & 1 == 1;
+                        }
+                        sim.set_inputs(&vector);
+                        let sum: f64 = n
+                            .gates()
+                            .map(|(gid, g)| {
+                                problem
+                                    .min_leak(g.kind(), sim.gate_state(gid), mode)
+                                    .value()
+                            })
+                            .sum();
+                        if best.as_ref().is_none_or(|(b, _)| sum < *b) {
+                            best = Some((sum, vector));
+                        }
+                    }
+                    let (floor, witness) = best.expect("at least one completion");
+                    // Only summation order separates the two totals.
+                    let slack = 1e-9 * floor.abs();
+                    if bound > floor + slack {
+                        return Err(format!(
+                            "{mode:?}: bound {bound:e} above the best completion {floor:e} \
+                             of {partial:?}"
+                        ));
+                    }
+                    for &i in &free {
+                        tracker.set_input(i, Logic::from(witness[i]));
+                    }
+                    let exact = tracker.bound().value();
+                    if (exact - floor).abs() > slack {
+                        return Err(format!(
+                            "{mode:?}: decided bound {exact:e} differs from its sum {floor:e}"
+                        ));
                     }
                 }
                 Ok(())
@@ -1175,6 +1319,8 @@ pub fn builtin_property_names() -> Vec<&'static str> {
         "core.eco_eq_cold",
         "netlist.strash_preserves_function",
         "netlist.edit_eq_rebuild",
+        "core.bound_eq_reference",
+        "core.bound_sound",
         "sim.tri_covers_two",
         "sim.packed_eq_scalar_two",
         "sim.packed_eq_scalar_tri",

@@ -66,8 +66,8 @@ pub use state_search::portfolio::{
     self, BranchOrder, MemberReport, MemberStatus, PortfolioConfig, PortfolioOutcome,
     ProvenanceEntry, Strategy,
 };
-pub use state_search::Optimizer;
 pub use state_search::WarmStats;
+pub use state_search::{BoundTracker, Optimizer};
 
 // Re-exported so optimizer callers can configure the parallel searches,
 // attach observability, and inject faults without depending on the

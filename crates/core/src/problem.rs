@@ -95,6 +95,9 @@ struct KindTable {
     fast_leak: Vec<f64>,
     /// `[state] -> index of the fast option`.
     fast_index: Vec<u8>,
+    /// `[mode] -> offset` of this kind's tri-level bound table in
+    /// `Problem::bound_tables`.
+    bound_offset: [usize; 3],
 }
 
 /// A fully-specified optimization problem.
@@ -111,6 +114,9 @@ pub struct Problem<'a> {
     d_fast: Time,
     d_slow: Time,
     tables: HashMap<GateKind, KindTable>,
+    /// Every (kind, mode) tri-level bound table, back to back; see
+    /// [`Problem::bound_table`].
+    bound_tables: Vec<f64>,
     /// Transitive fanout gates of each primary input (by input position).
     tfo: Vec<Vec<GateId>>,
 }
@@ -133,12 +139,18 @@ impl<'a> Problem<'a> {
         let d_slow = sta.max_delay();
 
         let mut tables = HashMap::new();
+        let mut bound_tables = Vec::new();
         for (_, gate) in netlist.gates() {
             let kind = gate.kind();
             if tables.contains_key(&kind) {
                 continue;
             }
-            tables.insert(kind, Self::build_table(library, kind)?);
+            let mut table = Self::build_table(library, kind)?;
+            for (offset, min_leak) in table.bound_offset.iter_mut().zip(&table.min_leak) {
+                *offset = bound_tables.len();
+                bound_tables.extend(tri_level_bounds(min_leak, kind.arity()));
+            }
+            tables.insert(kind, table);
         }
         let tfo = transitive_fanouts(netlist);
         Ok(Self {
@@ -148,6 +160,7 @@ impl<'a> Problem<'a> {
             d_fast,
             d_slow,
             tables,
+            bound_tables,
             tfo,
         })
     }
@@ -194,6 +207,7 @@ impl<'a> Problem<'a> {
             min_leak,
             fast_leak,
             fast_index,
+            bound_offset: [0; 3],
         })
     }
 
@@ -257,6 +271,20 @@ impl<'a> Problem<'a> {
         Current::new(self.table(kind).min_leak[mode_index(mode)][state.bits() as usize])
     }
 
+    /// Offset of the (kind, mode) tri-level bound table within
+    /// [`Problem::bound_tables`]. Entry `offset + code` is the minimum of
+    /// [`Problem::min_leak`] over every state a gate's three-valued pin
+    /// levels allow, where `code = Σ trit(pin i)·3^i` with `0`/`1`/`X`
+    /// as trits `0`/`1`/`2`.
+    pub(crate) fn bound_table(&self, kind: GateKind, mode: Mode) -> usize {
+        self.table(kind).bound_offset[mode_index(mode)]
+    }
+
+    /// Every (kind, mode) tri-level bound table (3^arity entries each).
+    pub(crate) fn bound_tables(&self) -> &[f64] {
+        &self.bound_tables
+    }
+
     /// Leakage of the fast option in a state.
     #[must_use]
     pub fn fast_leak(&self, kind: GateKind, state: InputState) -> Current {
@@ -309,6 +337,25 @@ fn uses_thick(version: &svtox_cells::CellVersion) -> bool {
         .assignment()
         .iter()
         .any(|&(_, tox)| tox == OxideClass::Thick)
+}
+
+/// `[code] ->` the minimum of `min_leak[state]` over the states a
+/// tri-level pin code allows (see [`Problem::bound_table`]). An `X` pin
+/// admits both of its values, a decided pin only its own.
+fn tri_level_bounds(min_leak: &[f64], arity: usize) -> Vec<f64> {
+    (0..3usize.pow(arity as u32))
+        .map(|code| {
+            (0..1usize << arity)
+                .filter(|&bits| {
+                    (0..arity).all(|pin| {
+                        let trit = code / 3usize.pow(pin as u32) % 3;
+                        trit == 2 || trit == bits >> pin & 1
+                    })
+                })
+                .map(|bits| min_leak[bits])
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect()
 }
 
 /// Computes per-primary-input transitive fanout gate sets.
@@ -410,6 +457,32 @@ mod tests {
                     continue;
                 }
                 assert!(!uses_thick(cell.version(opt.version())));
+            }
+        }
+    }
+
+    #[test]
+    fn bound_tables_fold_every_allowed_state() {
+        let (n, lib) = setup();
+        let p = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+        let kinds: std::collections::HashSet<GateKind> = n.gates().map(|(_, g)| g.kind()).collect();
+        for kind in kinds {
+            let arity = kind.arity();
+            for mode in Mode::ALL {
+                let off = p.bound_table(kind, mode);
+                let table = &p.bound_tables()[off..off + 3usize.pow(arity as u32)];
+                // All-X covers every state; a fully decided code is that
+                // state's own minimum.
+                let all_x = table[table.len() - 1];
+                for state in InputState::all(arity) {
+                    let leak = p.min_leak(kind, state, mode).value();
+                    assert!(all_x <= leak);
+                    let bits = state.bits() as usize;
+                    let code: usize = (0..arity)
+                        .map(|pin| (bits >> pin & 1) * 3usize.pow(pin as u32))
+                        .sum();
+                    assert_eq!(table[code].to_bits(), leak.to_bits(), "{kind} {state}");
+                }
             }
         }
     }

@@ -29,26 +29,47 @@ use crate::problem::{DelayPenalty, GateOrder, InputOrder, Mode, Problem};
 use crate::solution::Solution;
 
 /// Incremental leakage lower bound over a partially-decided input vector.
-pub(crate) struct BoundTracker<'p, 'n> {
-    problem: &'p Problem<'n>,
+///
+/// A gate contributes the minimum leakage over the input states its
+/// three-valued pin levels still allow: one lookup in the problem's
+/// per-(kind, mode) tri-level table. Deciding an input re-bounds only the
+/// gates fed by a net the three-valued simulation actually changed, in
+/// ascending gate order, which keeps the running total bit-identical to
+/// re-bounding the input's whole static fanout cone (DESIGN.md §5).
+pub struct BoundTracker<'p, 'n> {
     tri: TriSimulator<'n>,
-    mode: Mode,
+    /// Every tri-level bound table of the problem.
+    tables: &'p [f64],
+    /// Per-gate offset of its (kind, mode) table in `tables`.
+    offsets: Vec<usize>,
     /// Per-gate lower-bound contribution (nA).
     contribution: Vec<f64>,
     /// Sum of contributions.
     total: f64,
+    /// Scratch: gates to re-bound, and their de-duplication marks.
+    dirty: Vec<GateId>,
+    marked: Vec<bool>,
+    /// Gates re-bounded so far (`core.bound.rebounds`).
+    rebounds: u64,
 }
 
 impl<'p, 'n> BoundTracker<'p, 'n> {
-    pub(crate) fn new(problem: &'p Problem<'n>, mode: Mode) -> Self {
+    /// A tracker with every primary input undecided.
+    #[must_use]
+    pub fn new(problem: &'p Problem<'n>, mode: Mode) -> Self {
         let netlist = problem.netlist();
-        let tri = TriSimulator::new(netlist);
         let mut tracker = Self {
-            problem,
-            tri,
-            mode,
+            tri: TriSimulator::new(netlist),
+            tables: problem.bound_tables(),
+            offsets: netlist
+                .gates()
+                .map(|(_, g)| problem.bound_table(g.kind(), mode))
+                .collect(),
             contribution: vec![0.0; netlist.num_gates()],
             total: 0.0,
+            dirty: Vec::new(),
+            marked: vec![false; netlist.num_gates()],
+            rebounds: 0,
         };
         for (gid, _) in netlist.gates() {
             let c = tracker.gate_bound(gid);
@@ -60,28 +81,61 @@ impl<'p, 'n> BoundTracker<'p, 'n> {
 
     /// Lower bound on this gate's leakage over its reachable states.
     fn gate_bound(&self, gid: GateId) -> f64 {
-        let kind = self.problem.netlist().gate(gid).kind();
-        self.tri
-            .possible_states(gid)
-            .into_iter()
-            .map(|s| self.problem.min_leak(kind, s, self.mode).value())
-            .fold(f64::INFINITY, f64::min)
+        let code = self
+            .tri
+            .netlist()
+            .gate(gid)
+            .inputs()
+            .iter()
+            .rev()
+            .fold(0, |code, &net| {
+                let trit = match self.tri.value(net) {
+                    Logic::Zero => 0,
+                    Logic::One => 1,
+                    Logic::X => 2,
+                };
+                code * 3 + trit
+            });
+        self.tables[self.offsets[gid.index()] + code]
     }
 
-    /// Sets one input and updates the bound. Only gates in the input's
-    /// static transitive fanout can change.
-    pub(crate) fn set_input(&mut self, index: usize, value: Logic) {
+    /// Sets one input (by position) and updates the bound. Only gates
+    /// reading a net whose value changed are re-bounded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn set_input(&mut self, index: usize, value: Logic) {
         self.tri.set_input(index, value);
-        for &gid in self.problem.tfo(index) {
+        let netlist = self.tri.netlist();
+        for &net in self.tri.changed_nets() {
+            for &(g, _pin) in netlist.net(net).fanouts() {
+                if !self.marked[g.index()] {
+                    self.marked[g.index()] = true;
+                    self.dirty.push(g);
+                }
+            }
+        }
+        self.dirty.sort_unstable();
+        for &gid in &self.dirty {
+            self.marked[gid.index()] = false;
             let c = self.gate_bound(gid);
             self.total += c - self.contribution[gid.index()];
             self.contribution[gid.index()] = c;
         }
+        self.rebounds += self.dirty.len() as u64;
+        self.dirty.clear();
     }
 
     /// The current lower bound for any completion of the partial vector.
-    pub(crate) fn bound(&self) -> Current {
+    #[must_use]
+    pub fn bound(&self) -> Current {
         Current::new(self.total)
+    }
+
+    /// Gates re-bounded since construction.
+    pub(crate) fn rebounds(&self) -> u64 {
+        self.rebounds
     }
 }
 
@@ -205,6 +259,7 @@ impl<'a> Optimizer<'a> {
         let solution = self.evaluate_leaf(&vector, &mut sta, start, 1);
         self.obs.add("core.h1.decisions", order.len() as u64);
         self.obs.add("core.h1.leaves", 1);
+        self.obs.add("core.bound.rebounds", tracker.rebounds());
         self.flush_sta(&sta, StaCounters::default());
         Ok(solution)
     }
@@ -284,6 +339,7 @@ impl<'a> Optimizer<'a> {
         best.runtime = start.elapsed();
         best.leaves_explored = leaves;
         self.obs.add("core.search.nodes", nodes);
+        self.obs.add("core.bound.rebounds", tracker.rebounds());
         self.obs
             .add("core.search.leaves", (leaves - base_leaves) as u64);
         self.obs.add("core.search.prunes_local", prunes);
@@ -429,6 +485,7 @@ impl<'a> Optimizer<'a> {
         best.runtime = start.elapsed();
         best.leaves_explored = leaves;
         self.obs.add("core.search.nodes", nodes);
+        self.obs.add("core.bound.rebounds", tracker.rebounds());
         self.obs.add("core.search.leaves", leaves as u64);
         self.obs.add("core.search.prunes_local", prunes);
         self.obs.add("core.search.incumbent_updates", incumbents);

@@ -10,7 +10,8 @@
 //!   only part of the standby vector decided, each gate's reachable input
 //!   states form a small set ([`TriSimulator::possible_states`]); the
 //!   optimizer turns those into leakage bounds for pruning and ordering the
-//!   state tree.
+//!   state tree, re-bounding only the gates fed by
+//!   [`TriSimulator::changed_nets`].
 //! * [`PackedSimulator`] / [`PackedTriSimulator`] — bit-parallel word-level
 //!   engines: one `u64` plane per net packs 64 vectors per lane
 //!   ([`packed`] module docs spell out the lane order, tail masking and

@@ -12,13 +12,21 @@ use crate::logic::Logic;
 ///
 /// The state-tree search decides primary inputs one at a time; undecided
 /// inputs are `X`. For every gate, the simulator can enumerate the input
-/// states still reachable ([`TriSimulator::possible_states`]), which the
-/// optimizer turns into leakage lower/upper bounds for pruning.
+/// states still reachable ([`TriSimulator::possible_states`]); the
+/// optimizer's leakage lower bound is the minimum over that set. After
+/// each [`TriSimulator::set_input`], [`TriSimulator::changed_nets`] lists
+/// the nets whose value that call changed, so a caller can refresh
+/// exactly the gates they feed.
 #[derive(Debug, Clone)]
 pub struct TriSimulator<'a> {
     netlist: &'a Netlist,
     net_values: Vec<Logic>,
     queued: Vec<bool>,
+    /// Event queue keyed by (level, gate): empty between calls and reused,
+    /// so deciding an input allocates nothing once it has grown.
+    heap: BinaryHeap<Reverse<(u32, GateId)>>,
+    /// Nets whose value the last `set_input` changed.
+    changed: Vec<NetId>,
 }
 
 impl<'a> TriSimulator<'a> {
@@ -29,6 +37,8 @@ impl<'a> TriSimulator<'a> {
             netlist,
             net_values: vec![Logic::X; netlist.num_nets()],
             queued: vec![false; netlist.num_gates()],
+            heap: BinaryHeap::new(),
+            changed: Vec::new(),
         };
         sim.full_eval();
         sim
@@ -52,29 +62,24 @@ impl<'a> TriSimulator<'a> {
 
     /// Sets one primary input (by position) to a three-valued level,
     /// propagating only the affected cone. Returns the number of gates
-    /// re-evaluated.
+    /// re-evaluated; [`TriSimulator::changed_nets`] then lists the nets
+    /// whose value changed (empty when `value` equals the current level).
     ///
     /// # Panics
     ///
     /// Panics if `input_index` is out of range.
     pub fn set_input(&mut self, input_index: usize, value: Logic) -> usize {
+        self.changed.clear();
         let pi = self.netlist.inputs()[input_index];
         if self.net_values[pi.index()] == value {
             return 0;
         }
-        self.net_values[pi.index()] = value;
-        let mut heap: BinaryHeap<Reverse<(u32, GateId)>> = BinaryHeap::new();
-        for &(g, _pin) in self.netlist.net(pi).fanouts() {
-            if !self.queued[g.index()] {
-                self.queued[g.index()] = true;
-                heap.push(Reverse((self.netlist.level(g), g)));
-            }
-        }
+        self.set_net(pi, value);
         let mut evaluated = 0;
         // Stack scratch (arity-bounded): deciding an input never allocates,
         // which matters because the state search calls this at every node.
         let mut ins = [Logic::X; GateKind::MAX_ARITY];
-        while let Some(Reverse((_lvl, gate_id))) = heap.pop() {
+        while let Some(Reverse((_lvl, gate_id))) = self.heap.pop() {
             self.queued[gate_id.index()] = false;
             evaluated += 1;
             let gate = self.netlist.gate(gate_id);
@@ -85,20 +90,37 @@ impl<'a> TriSimulator<'a> {
             let new = Logic::eval_gate(gate.kind(), &ins[..pins.len()]);
             let out = gate.output();
             if self.net_values[out.index()] != new {
-                self.net_values[out.index()] = new;
-                for &(g, _pin) in self.netlist.net(out).fanouts() {
-                    if !self.queued[g.index()] {
-                        self.queued[g.index()] = true;
-                        heap.push(Reverse((self.netlist.level(g), g)));
-                    }
-                }
+                self.set_net(out, new);
             }
         }
         evaluated
     }
 
-    /// Resets every primary input to undecided.
+    /// Records a changed net and queues its fanout gates in level order.
+    fn set_net(&mut self, net: NetId, value: Logic) {
+        self.net_values[net.index()] = value;
+        self.changed.push(net);
+        for &(g, _pin) in self.netlist.net(net).fanouts() {
+            if !self.queued[g.index()] {
+                self.queued[g.index()] = true;
+                self.heap.push(Reverse((self.netlist.level(g), g)));
+            }
+        }
+    }
+
+    /// The nets whose value the last [`TriSimulator::set_input`] changed,
+    /// the decided input's own net first, then in evaluation (level)
+    /// order. Each net appears at most once: a gate is evaluated once per
+    /// call, after all of its inputs have settled.
+    #[must_use]
+    pub fn changed_nets(&self) -> &[NetId] {
+        &self.changed
+    }
+
+    /// Resets every primary input to undecided (and empties
+    /// [`TriSimulator::changed_nets`]).
     pub fn clear(&mut self) {
+        self.changed.clear();
         for v in &mut self.net_values {
             *v = Logic::X;
         }
@@ -284,6 +306,52 @@ mod tests {
         sim.set_input(1, Logic::Zero);
         sim.clear();
         assert_eq!(sim.num_undecided(), 2);
+    }
+
+    #[test]
+    fn changed_nets_are_exactly_the_nets_that_moved() {
+        let spec = RandomDagSpec::new("tri-changed", 10, 4, 90, 7);
+        let n = random_dag(&spec).unwrap();
+        let mut sim = TriSimulator::new(&n);
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..200 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let input = (rng % n.num_inputs() as u64) as usize;
+            let value = [Logic::Zero, Logic::One, Logic::X][(rng >> 32) as usize % 3];
+            let before: Vec<Logic> = n.nets().map(|(nid, _)| sim.value(nid)).collect();
+            sim.set_input(input, value);
+            let mut moved: Vec<NetId> = n
+                .nets()
+                .filter(|&(nid, _)| sim.value(nid) != before[nid.index()])
+                .map(|(nid, _)| nid)
+                .collect();
+            let mut reported = sim.changed_nets().to_vec();
+            reported.sort_unstable();
+            reported.dedup();
+            assert_eq!(
+                reported.len(),
+                sim.changed_nets().len(),
+                "a net listed twice"
+            );
+            moved.sort_unstable();
+            assert_eq!(reported, moved);
+        }
+    }
+
+    #[test]
+    fn changed_nets_empty_after_same_value() {
+        let n = toy();
+        let mut sim = TriSimulator::new(&n);
+        // b=1 drives the inverter to 0, which forces the NAND to 1.
+        sim.set_input(1, Logic::One);
+        assert_eq!(sim.changed_nets().len(), 3);
+        assert_eq!(sim.set_input(1, Logic::One), 0);
+        assert!(sim.changed_nets().is_empty(), "stale list after a no-op");
+        // A decided input whose fanout does not move reports only itself.
+        sim.set_input(0, Logic::Zero);
+        assert_eq!(sim.changed_nets(), &[n.inputs()[0]]);
     }
 
     #[test]
