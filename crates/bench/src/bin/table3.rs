@@ -3,7 +3,7 @@
 //! penalties across the benchmark suite.
 
 use svtox_bench::{default_library, ua, x_factor, BenchArgs, Instance};
-use svtox_core::{DelayPenalty, Mode};
+use svtox_core::{DelayPenalty, ExecConfig, Mode};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -25,10 +25,13 @@ fn main() {
                 .optimizer(penalty, Mode::Proposed)
                 .heuristic1()
                 .expect("heuristic1 runs");
+            let exec = ExecConfig::serial().with_time_budget(args.h2_budget);
             let h2 = problem
                 .optimizer(penalty, Mode::Proposed)
-                .heuristic2(args.h2_budget)
-                .expect("heuristic2 runs");
+                .run(&exec, None)
+                .best()
+                .expect("heuristic2 runs")
+                .clone();
             if i == 0 {
                 h1_5s = format!("{:.1}", h1.runtime.as_secs_f64());
             }

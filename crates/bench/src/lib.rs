@@ -22,7 +22,7 @@
 use std::time::Duration;
 
 use svtox_cells::{Library, LibraryOptions};
-use svtox_core::{DelayPenalty, Mode, PortfolioConfig, Problem, RunOutcome, Solution};
+use svtox_core::{DelayPenalty, Mode, Plan, Problem, RunOutcome, Solution};
 use svtox_exec::{map_tasks, Budget, ExecConfig, RetryPolicy, SearchStats};
 use svtox_netlist::generators::{benchmark, benchmark_names};
 use svtox_netlist::Netlist;
@@ -298,7 +298,7 @@ pub fn run_suite(
                         .run_portfolio(
                             &run_exec,
                             &Budget::with_duration(budget),
-                            &PortfolioConfig::default(),
+                            &Plan::default(),
                             None,
                         )
                         .unwrap_or_else(|error| panic!("suite engine run failed: {error}"));

@@ -8,7 +8,7 @@
 //! | property | oracle |
 //! |---|---|
 //! | `opt.heuristic_not_below_exact` | heuristic cost ≥ exact B&B cost; exact ≤ exhaustive all-fast enumeration; budgets met |
-//! | `opt.parallel_bit_identity` | serial `exact`/`heuristic2` vs `*_parallel` at 2–4 workers |
+//! | `opt.parallel_bit_identity` | the serial reference `exact`/`heuristic2` DFS vs the search engine at 2–4 workers: a one-member exact plan and `run` |
 //! | `core.eco_eq_cold` | warm-seeded `rerun_after_edit` vs a cold re-optimization of the edited netlist, bit for bit at 1/2/4 workers |
 //! | `netlist.strash_preserves_function` | structurally-hashed netlist vs the original, lane-for-lane under `PackedSimulator`; census and idempotence |
 //! | `netlist.edit_eq_rebuild` | a random edit script applied incrementally vs a from-scratch rebuild of the same structure |
@@ -24,16 +24,16 @@
 //! | `tech.calibration_pinned` | the DESIGN.md device ratios, width-invariant |
 //! | `fault.degradation_invariants` | random fault plan × random DAG: never a hang or `Failed`, incumbent verifies and stays ≤ the H1 seed |
 //! | `fault.resume_bit_identical` | mid-search kill with a checkpoint, then resume: bit-identical to the uninterrupted run at 1/2/4 workers |
-//! | `portfolio.thread_count_invariant` | the strategy portfolio at 2/4 workers vs serial: same winner, cost bits, rounds, and incumbent-update counts |
-//! | `portfolio.kill_resume_bit_identical` | mid-portfolio kill with member checkpoints, then resume: bit-identical to the uninterrupted portfolio |
+//! | `portfolio.thread_count_invariant` | the strategy portfolio at 2/4 workers vs serial: same winner, cost bits, rounds, and per-member node, leaf and incumbent-update counts |
+//! | `portfolio.kill_resume_bit_identical` | mid-portfolio kill with a checkpoint, then resume: bit-identical to the uninterrupted portfolio |
 //! | `serve.journal_roundtrip` | random job lifecycles through the write-ahead journal vs a replay: specs, states and f64 bit patterns identical, torn tails dropped without losing intact records |
 
 use std::time::Duration;
 
 use svtox_cells::InputState;
 use svtox_core::{
-    BoundTracker, Budget, CheckpointSpec, Mode, PortfolioConfig, PortfolioOutcome, Problem,
-    RunOutcome,
+    BoundTracker, BranchOrder, Budget, CheckpointSpec, Mode, Plan, PortfolioOutcome, Problem,
+    RunOutcome, Solution, Strategy,
 };
 use svtox_exec::rng::Xoshiro256pp;
 use svtox_fault::{Fault, FaultPlan, Site, Trigger};
@@ -50,13 +50,27 @@ use crate::domain::{
     random_circuit, random_edit_script, rebuild_netlist, test_library, BenchMutations, DagStrategy,
     OptConfigStrategy,
 };
-use crate::reference::ReferenceBoundTracker;
+use crate::reference::{self, ReferenceBoundTracker};
 use crate::report::PropertyReport;
 use crate::runner::{check_property, CheckConfig};
 use crate::strategy::{choice, int_range, AnyU64};
 
 /// Absolute slack for comparing leakage currents (nA scale).
 const LEAK_EPS: f64 = 1e-6;
+
+/// Whether two solutions agree bit for bit: vector, choices, leakage and
+/// delay.
+fn same_bits(a: &Solution, b: &Solution) -> bool {
+    a.vector == b.vector && a.choices == b.choices && a.leakage == b.leakage && a.delay == b.delay
+}
+
+/// The solution of a completed run, or why there is none.
+fn complete(outcome: RunOutcome) -> Result<Solution, String> {
+    match outcome {
+        RunOutcome::Complete { solution, .. } => Ok(solution),
+        other => Err(format!("run did not complete: {}", other.status())),
+    }
+}
 
 /// Runs every built-in property (optionally filtered by substring) under
 /// `config`. Heavy exact-oracle properties run a reduced case count so the
@@ -142,26 +156,33 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::Mode::Proposed,
                 );
                 let exec = svtox_core::ExecConfig::with_threads(*threads);
-                let serial = opt.exact(12).map_err(|e| e.to_string())?;
-                let (parallel, _) = opt.exact_parallel(12, &exec).map_err(|e| e.to_string())?;
-                if parallel.vector != serial.vector
-                    || parallel.choices != serial.choices
-                    || parallel.leakage != serial.leakage
-                    || parallel.delay != serial.delay
-                {
+                let penalty = svtox_core::DelayPenalty::five_percent();
+                let serial = reference::exact(&problem, penalty, Mode::Proposed, 12)
+                    .map_err(|e| e.to_string())?;
+                let plan = Plan::single(Strategy::Exact(BranchOrder::default()));
+                let parallel = opt
+                    .run_portfolio(&exec, &Budget::unlimited(), &plan, None)
+                    .map_err(|e| e.to_string())?
+                    .best;
+                if !same_bits(&parallel, &serial) {
                     return Err(format!(
-                        "exact_parallel({threads}) diverged: {} vs serial {}",
+                        "exact plan at {threads} workers diverged: {} vs serial {}",
                         parallel.leakage, serial.leakage
                     ));
                 }
-                let h2 = opt
-                    .heuristic2(Duration::from_secs(120))
-                    .map_err(|e| e.to_string())?;
-                let (h2p, _) = opt.heuristic2_parallel(&exec).map_err(|e| e.to_string())?;
-                if h2p.vector != h2.vector || h2p.choices != h2.choices || h2p.leakage != h2.leakage
-                {
+                let h2 = reference::heuristic2(
+                    &problem,
+                    penalty,
+                    Mode::Proposed,
+                    Duration::from_secs(120),
+                )
+                .map_err(|e| e.to_string())?;
+                let RunOutcome::Complete { solution: h2p, .. } = opt.run(&exec, None) else {
+                    return Err(format!("run at {threads} workers did not complete"));
+                };
+                if !same_bits(&h2p, &h2) {
                     return Err(format!(
-                        "heuristic2_parallel({threads}) diverged: {} vs serial {}",
+                        "run at {threads} workers diverged: {} vs serial {}",
                         h2p.leakage, h2.leakage
                     ));
                 }
@@ -191,8 +212,7 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::DelayPenalty::five_percent(),
                     svtox_core::Mode::Proposed,
                 );
-                let (prev, _) = opt
-                    .heuristic2_parallel(&svtox_core::ExecConfig::serial())
+                let prev = complete(opt.run(&svtox_core::ExecConfig::serial(), None))
                     .map_err(|e| format!("pre-edit run: {e}"))?;
                 let script = random_edit_script(&pre, *seed, *num_ops);
                 let mut post = pre.clone();
@@ -204,8 +224,7 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::DelayPenalty::five_percent(),
                     svtox_core::Mode::Proposed,
                 );
-                let (cold, _) = post_opt
-                    .heuristic2_parallel(&svtox_core::ExecConfig::serial())
+                let cold = complete(post_opt.run(&svtox_core::ExecConfig::serial(), None))
                     .map_err(|e| format!("cold run: {e}"))?;
                 let report = post_opt
                     .rerun_after_edit(
@@ -973,21 +992,20 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                 );
                 // Exact members are priced out of the property budget; the
                 // greedy members exercise the same barrier machinery.
-                let config = PortfolioConfig {
+                let config = Plan {
                     restarts: 8,
-                    exact_max_inputs: 0,
                     seed: *seed,
-                    ..PortfolioConfig::default()
+                    ..Plan::default().without_exact()
                 };
                 let run = |threads: usize| {
                     let exec = svtox_core::ExecConfig::with_threads(threads);
                     opt.run_portfolio(&exec, &Budget::unlimited(), &config, None)
                         .map_err(|e| format!("portfolio({threads}): {e}"))
                 };
-                let updates = |o: &PortfolioOutcome| {
+                let counts = |o: &PortfolioOutcome| {
                     o.members
                         .iter()
-                        .map(|m| m.incumbent_updates)
+                        .map(|m| (m.incumbent_updates, m.nodes, m.leaves))
                         .collect::<Vec<_>>()
                 };
                 let reference = run(1)?;
@@ -997,7 +1015,7 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                         || other.best.leakage != reference.best.leakage
                         || !other.best.same_assignment(&reference.best)
                         || other.rounds != reference.rounds
-                        || updates(&other) != updates(&reference)
+                        || counts(&other) != counts(&reference)
                     {
                         return Err(format!(
                             "portfolio({threads}) diverged: winner {} / {} at {} vs \
@@ -1034,11 +1052,10 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::DelayPenalty::five_percent(),
                     svtox_core::Mode::Proposed,
                 );
-                let config = PortfolioConfig {
+                let config = Plan {
                     restarts: 8,
-                    exact_max_inputs: 0,
                     seed: *nonce,
-                    ..PortfolioConfig::default()
+                    ..Plan::default().without_exact()
                 };
                 let exec = svtox_core::ExecConfig::with_threads(*threads);
                 let reference = opt
@@ -1048,13 +1065,8 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     "svtox-check-portfolio-{nonce:016x}-{}.jsonl",
                     std::process::id()
                 ));
-                // Member checkpoints live next to the base path with the
-                // strategy slug appended.
                 let cleanup = || {
                     std::fs::remove_file(&base).ok();
-                    for slug in ["h1", "h2-influence", "h2-natural", "h2-reverse", "restarts"] {
-                        std::fs::remove_file(format!("{}.{slug}", base.display())).ok();
-                    }
                 };
                 cleanup();
                 let done = |r: Result<(), String>| {

@@ -26,7 +26,8 @@ use std::time::{Duration, Instant};
 
 use svtox_cells::{Library, LibraryOptions};
 use svtox_core::{
-    DelayPenalty, ExecConfig, Mode, OptError, Problem, RetryPolicy, SharedMinF64, Solution,
+    DelayPenalty, ExecConfig, Mode, OptError, Problem, RetryPolicy, RunOutcome, SharedMinF64,
+    Solution,
 };
 use svtox_netlist::generators::benchmark;
 use svtox_netlist::{EditScript, Netlist};
@@ -271,9 +272,15 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
         let pre_problem = Problem::new(&pre, &library, TimingConfig::default())
             .map_err(|e| CliError(e.to_string()))?;
         let pre_opt = pre_problem.optimizer(penalty, Mode::Proposed);
-        let (prev, _) = pre_opt
-            .heuristic2_parallel(&exec)
-            .map_err(|e| CliError(format!("{name} (pre-edit): {e}")))?;
+        let prev = match pre_opt.run(&exec, None) {
+            RunOutcome::Failed { error } => {
+                return Err(CliError(format!("{name} (pre-edit): {error}")))
+            }
+            outcome => outcome
+                .best()
+                .expect("a non-failed run has a solution")
+                .clone(),
+        };
 
         let script = EditScript::parse(&standard_edit_script(&pre))
             .map_err(|e| CliError(format!("{name}: {e}")))?;
@@ -285,10 +292,11 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
             .map_err(|e| CliError(e.to_string()))?;
         let post_opt = post_problem.optimizer(penalty, Mode::Proposed);
 
+        // No previous solution and no checkpoint: a cold run.
         let (cold_traj, cold) = trace_run(|shared| {
             post_opt
-                .heuristic2_parallel_warm(&exec, &[], Some(shared))
-                .map(|(solution, _, _)| solution)
+                .rerun_after_edit(&exec, None, &trace, None, Some(shared))
+                .map(|report| report.solution)
         })
         .map_err(|e| CliError(format!("{name} (cold): {e}")))?;
         let mut warm_stats = None;

@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 
 use svtox_cells::{to_liberty, Library, LibraryOptions, TradeoffPoints};
 use svtox_core::{
-    CheckpointSpec, DelayPenalty, ExecConfig, Mode, PortfolioConfig, PortfolioOutcome, Problem,
-    RetryPolicy, RunOutcome, Solution,
+    CheckpointSpec, DelayPenalty, ExecConfig, Mode, Plan, PortfolioOutcome, Problem, RetryPolicy,
+    RunOutcome, Solution,
 };
 use svtox_fault::{Fault, FaultPlan};
 use svtox_netlist::generators::{benchmark, BenchmarkProfile};
@@ -341,8 +341,8 @@ count (0 = one per CPU; results are identical for any count) and
 strategies races over the worker pool — H1, H2 under three branch orders,
 exact branch-and-bound (small circuits) and seeded randomized restarts —
 sharing one incumbent so any improvement tightens everyone's pruning
-bound; the report names the winning strategy. `--strategy single` selects
-the pre-portfolio single-strategy engine.
+bound; the report names the winning strategy. `--strategy single` runs
+one Heuristic 2 member on the same engine.
 
 Observability: `--trace FILE` writes a JSONL event trace (spans, counters,
 events) covering the optimizer, the timing analyzer, and the worker pool;
@@ -357,9 +357,9 @@ generation on the next run. `--property NAME` filters by substring;
 The report is deterministic for a given seed, independent of `--threads`.
 
 Robustness: `optimize --checkpoint FILE` appends every fully-explored
-prefix subtree to a JSONL file; `--resume` replays it so a killed run
-finishes bit-identically to an uninterrupted one (same circuit, penalty,
-mode and split depth required). `--fault-plan SPEC` injects deterministic
+search unit to one JSONL file, for either strategy; `--resume` replays it
+so a killed run finishes bit-identically to an uninterrupted one, at any
+`--threads` (same circuit, penalty, mode and strategy required). `--fault-plan SPEC` injects deterministic
 faults, e.g. `exec.dispatch:p=0.1,clock.skew:nth=1` (sites: exec.dispatch,
 exec.pop, io.read, io.truncate, io.write, io.fsync, io.rename, clock.skew,
 core.leaf; triggers: nth=N, every=N, p=F under `--fault-seed`). `chaos`
@@ -1219,7 +1219,13 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             // The pre-edit run: the solution an ECO flow has on hand.
             let pre_problem = Problem::new(&pre, &lib, TimingConfig::default())?;
             let pre_opt = pre_problem.optimizer(penalty, args.mode).with_obs(&obs);
-            let (prev, _) = pre_opt.heuristic2_parallel(&exec)?;
+            let prev = match pre_opt.run(&exec, None) {
+                RunOutcome::Failed { error } => return Err(Box::new(error)),
+                outcome => outcome
+                    .best()
+                    .expect("a non-failed run has a solution")
+                    .clone(),
+            };
 
             // Apply the script and split the netlist's dirty set off for
             // the incremental timing analyzer.
@@ -1397,8 +1403,8 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 let (outcome, portfolio): (RunOutcome, Option<PortfolioOutcome>) =
                     match args.strategy {
                         EngineStrategy::Portfolio => {
-                            let config = PortfolioConfig::default();
-                            match optimizer.run_portfolio(&exec, &budget, &config, ckpt.as_ref()) {
+                            let plan = Plan::default();
+                            match optimizer.run_portfolio(&exec, &budget, &plan, ckpt.as_ref()) {
                                 Ok(p) => (p.clone().into_run_outcome(), Some(p)),
                                 Err(error) => (RunOutcome::Failed { error }, None),
                             }

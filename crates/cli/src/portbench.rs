@@ -13,8 +13,7 @@ use std::time::Duration;
 
 use svtox_cells::{Library, LibraryOptions};
 use svtox_core::{
-    Budget, CancelToken, DelayPenalty, ExecConfig, Mode, PortfolioConfig, Problem, RetryPolicy,
-    RunOutcome,
+    Budget, CancelToken, DelayPenalty, ExecConfig, Mode, Plan, Problem, RetryPolicy, RunOutcome,
 };
 use svtox_netlist::generators::benchmark;
 use svtox_obs::json::Value;
@@ -175,7 +174,7 @@ pub fn run_portfolio_bench(
 
         let budget = Budget::linked(Some(deadline), CancelToken::new());
         let outcome = optimizer
-            .run_portfolio(&exec, &budget, &PortfolioConfig::default(), None)
+            .run_portfolio(&exec, &budget, &Plan::default(), None)
             .map_err(|e| CliError(format!("{name}: {e}")))?;
         let portfolio_cost = outcome.best.leakage.value();
 

@@ -1,27 +1,29 @@
 //! Anytime checkpointing: JSONL persistence of the search frontier.
 //!
-//! A checkpoint file records one `meta` line (problem identity, split
-//! depth, and the Heuristic 1 seed solution) followed by one `task` line
-//! per fully-explored prefix subtree — the explored-prefix frontier of
-//! the root-split search. A resumed run replays the recorded tasks from
-//! the file and recomputes only the rest, which makes resume-after-kill
-//! bit-identical to the uninterrupted run (see `tests/checkpoint_resume`).
+//! One run writes one file, at the path its caller names. The first line
+//! is a `meta` record: the problem identity, the plan's member slugs in
+//! declaration order, and the Heuristic 1 seed solution (`null` for an
+//! unseeded plan). Every later line is a `task` record for one unit a
+//! member explored to exhaustion, tagged by the member's slug and the
+//! unit index. A resumed run replays the recorded units and recomputes
+//! only the rest, which makes resume-after-kill bit-identical to the
+//! uninterrupted run (see `tests/checkpoint_resume`). The unit space does
+//! not depend on the thread count, so a file resumes at any thread count.
 //!
 //! Robustness rules:
 //!
 //! * floats are serialized as `f64` **bit patterns** (hex), because the
 //!   JSON layer parses numbers as `f64` through decimal text and the
 //!   round-trip invariant is exact equality;
-//! * a task line is appended only after its subtree was *exhaustively*
-//!   explored (never for a budget-interrupted subtree), and the file is
+//! * a task line is appended only after its unit was *exhaustively*
+//!   explored (never for a budget-interrupted unit), and the file is
 //!   flushed per line, so killing the process at any point leaves at
 //!   worst one truncated trailing line;
 //! * the loader stops at the first malformed line — a truncated tail
-//!   costs recomputing one subtree, never an error;
-//! * the `meta` line carries the problem identity (circuit, sizes,
-//!   penalty bits, mode, split depth) and resuming against a different
-//!   problem or thread-derived split depth is a typed
-//!   [`OptError::Checkpoint`] error.
+//!   costs recomputing one unit, never an error;
+//! * resuming against a different problem or plan, or from a file of an
+//!   older format (no member slugs), is a typed [`OptError::Checkpoint`]
+//!   error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -70,7 +72,10 @@ impl CheckpointSpec {
     }
 }
 
-/// The problem identity and seed recorded in the `meta` line.
+/// The format version written into (and demanded from) the `meta` line.
+const VERSION: usize = 2;
+
+/// The problem identity, plan and seed recorded in the `meta` line.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointMeta {
     pub circuit: String,
@@ -78,16 +83,57 @@ pub(crate) struct CheckpointMeta {
     pub gates: usize,
     pub penalty_bits: u64,
     pub mode: Mode,
-    pub k: usize,
-    pub seed: Solution,
-    /// Which engine/strategy wrote the file (`None` for the classic
-    /// single-strategy search). Portfolio members each own a checkpoint
-    /// file; the slug stops a resume from replaying another member's
-    /// frontier after a file swap.
-    pub engine: Option<String>,
+    /// The plan's member slugs, in declaration order.
+    pub members: Vec<String>,
+    pub seed: Option<Solution>,
 }
 
-/// One fully-explored prefix subtree.
+impl CheckpointMeta {
+    /// Rejects a file recorded for another problem or plan than
+    /// `expected` (whose seed is not compared: resume reuses the file's).
+    pub(crate) fn check(&self, expected: &CheckpointMeta, path: &Path) -> Result<(), OptError> {
+        let at = path.display();
+        let mismatch = |what: &str, recorded: String, wanted: String| {
+            Err(OptError::Checkpoint(format!(
+                "{at}: recorded {what} {recorded} does not match {wanted}"
+            )))
+        };
+        if self.circuit != expected.circuit {
+            return mismatch("circuit", self.circuit.clone(), expected.circuit.clone());
+        }
+        if (self.inputs, self.gates) != (expected.inputs, expected.gates) {
+            return mismatch(
+                "size",
+                format!("{}x{}", self.inputs, self.gates),
+                format!("{}x{}", expected.inputs, expected.gates),
+            );
+        }
+        if self.penalty_bits != expected.penalty_bits {
+            return mismatch(
+                "delay penalty",
+                f64::from_bits(self.penalty_bits).to_string(),
+                f64::from_bits(expected.penalty_bits).to_string(),
+            );
+        }
+        if self.mode != expected.mode {
+            return mismatch(
+                "mode",
+                mode_name(self.mode).to_string(),
+                mode_name(expected.mode).to_string(),
+            );
+        }
+        if self.members != expected.members {
+            return mismatch(
+                "members",
+                format!("{:?}", self.members),
+                format!("the plan's {:?}", expected.members),
+            );
+        }
+        Ok(())
+    }
+}
+
+/// One exhaustively explored unit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TaskRecord {
     pub leaves: u64,
@@ -98,7 +144,8 @@ pub(crate) struct TaskRecord {
 #[derive(Debug)]
 pub(crate) struct LoadedCheckpoint {
     pub meta: CheckpointMeta,
-    pub tasks: BTreeMap<usize, TaskRecord>,
+    /// Keyed by (member position in `meta.members`, unit index).
+    pub tasks: BTreeMap<(usize, usize), TaskRecord>,
 }
 
 pub(crate) fn mode_name(mode: Mode) -> &'static str {
@@ -181,19 +228,25 @@ fn meta_from_json(v: &Value) -> Option<CheckpointMeta> {
         "state-only" => Mode::StateOnly,
         _ => return None,
     };
+    let members = match v.get("members")? {
+        Value::Arr(items) => items
+            .iter()
+            .map(|item| item.as_str().map(ToString::to_string))
+            .collect::<Option<Vec<_>>>()?,
+        _ => return None,
+    };
+    let seed = match v.get("seed")? {
+        Value::Null => None,
+        sol => Some(solution_from_json(sol)?),
+    };
     Some(CheckpointMeta {
         circuit: v.get("circuit")?.as_str()?.to_string(),
         inputs: parse_usize(v.get("inputs"))?,
         gates: parse_usize(v.get("gates"))?,
         penalty_bits: u64::from_str_radix(v.get("penalty")?.as_str()?, 16).ok()?,
         mode,
-        k: parse_usize(v.get("k"))?,
-        seed: solution_from_json(v.get("seed")?)?,
-        // Absent in pre-portfolio files; lenient so old checkpoints load.
-        engine: v
-            .get("engine")
-            .and_then(Value::as_str)
-            .map(ToString::to_string),
+        members,
+        seed,
     })
 }
 
@@ -225,12 +278,19 @@ pub(crate) fn load(path: &Path) -> Result<Option<LoadedCheckpoint>, OptError> {
             )))
         }
     };
-    let meta = json::parse(&meta_line)
+    let unreadable = || OptError::Checkpoint(format!("{}: unreadable meta line", path.display()));
+    let meta_value = json::parse(&meta_line)
         .ok()
-        .as_ref()
         .filter(|v| v.get("type").and_then(Value::as_str) == Some("meta"))
-        .and_then(meta_from_json)
-        .ok_or_else(|| OptError::Checkpoint(format!("{}: unreadable meta line", path.display())))?;
+        .ok_or_else(unreadable)?;
+    if parse_usize(meta_value.get("version")) != Some(VERSION) {
+        return Err(OptError::Checkpoint(format!(
+            "{}: an older checkpoint format without member slugs; \
+             start a fresh run instead of resuming it",
+            path.display()
+        )));
+    }
+    let meta = meta_from_json(&meta_value).ok_or_else(unreadable)?;
     let mut tasks = BTreeMap::new();
     for line in lines {
         let Ok(line) = line else { break };
@@ -238,9 +298,15 @@ pub(crate) fn load(path: &Path) -> Result<Option<LoadedCheckpoint>, OptError> {
         if v.get("type").and_then(Value::as_str) != Some("task") {
             break;
         }
-        let (Some(index), Some(leaves)) =
-            (parse_usize(v.get("index")), parse_usize(v.get("leaves")))
-        else {
+        let member = v
+            .get("member")
+            .and_then(Value::as_str)
+            .and_then(|slug| meta.members.iter().position(|m| m == slug));
+        let (Some(member), Some(unit), Some(leaves)) = (
+            member,
+            parse_usize(v.get("unit")),
+            parse_usize(v.get("leaves")),
+        ) else {
             break;
         };
         let solution = match v.get("solution") {
@@ -251,7 +317,7 @@ pub(crate) fn load(path: &Path) -> Result<Option<LoadedCheckpoint>, OptError> {
             },
         };
         tasks.insert(
-            index,
+            (member, unit),
             TaskRecord {
                 leaves: leaves as u64,
                 solution,
@@ -291,19 +357,18 @@ impl CheckpointWriter {
             .map_err(|e| OptError::Checkpoint(format!("cannot create {}: {e}", path.display())))?;
         let mut escaped = String::new();
         json::escape_into(&mut escaped, &meta.circuit);
-        let engine = meta.engine.as_ref().map_or_else(String::new, |slug| {
-            let mut e = String::new();
-            json::escape_into(&mut e, slug);
-            format!(",\"engine\":{e}")
-        });
+        let members: Vec<String> = meta.members.iter().map(|m| format!("\"{m}\"")).collect();
+        let seed = meta
+            .seed
+            .as_ref()
+            .map_or_else(|| "null".to_string(), solution_to_json);
         let line = format!(
-            "{{\"type\":\"meta\",\"version\":1,\"circuit\":{escaped},\"inputs\":{},\"gates\":{},\"penalty\":\"{:016x}\",\"mode\":\"{}\",\"k\":{}{engine},\"seed\":{}}}\n",
+            "{{\"type\":\"meta\",\"version\":{VERSION},\"circuit\":{escaped},\"inputs\":{},\"gates\":{},\"penalty\":\"{:016x}\",\"mode\":\"{}\",\"members\":[{}],\"seed\":{seed}}}\n",
             meta.inputs,
             meta.gates,
             meta.penalty_bits,
             mode_name(meta.mode),
-            meta.k,
-            solution_to_json(&meta.seed),
+            members.join(","),
         );
         file.write_all(line.as_bytes())
             .and_then(|()| file.flush())
@@ -327,14 +392,20 @@ impl CheckpointWriter {
         })
     }
 
-    /// Records one fully-explored subtree. Write failures (real or
-    /// injected at `io.write`) are reported to stderr once per call but
-    /// never fail the search — the checkpoint is an aid, not a
-    /// dependency.
-    pub(crate) fn record_task(&self, index: usize, leaves: u64, solution: Option<&Solution>) {
+    /// Records one exhaustively explored unit of the member `slug`.
+    /// Write failures (real or injected at `io.write`) are reported to
+    /// stderr once per call but never fail the search — the checkpoint is
+    /// an aid, not a dependency.
+    pub(crate) fn record_task(
+        &self,
+        slug: &str,
+        unit: usize,
+        leaves: u64,
+        solution: Option<&Solution>,
+    ) {
         let sol = solution.map_or_else(|| "null".to_string(), solution_to_json);
         let line = format!(
-            "{{\"type\":\"task\",\"index\":{index},\"leaves\":{leaves},\"solution\":{sol}}}\n"
+            "{{\"type\":\"task\",\"member\":\"{slug}\",\"unit\":{unit},\"leaves\":{leaves},\"solution\":{sol}}}\n"
         );
         let mut file = self.file.lock().expect("checkpoint lock is never poisoned");
         let written = self
@@ -373,9 +444,8 @@ mod tests {
             gates: 4,
             penalty_bits: 0.05f64.to_bits(),
             mode: Mode::Proposed,
-            k: 2,
-            seed: sample_solution(),
-            engine: None,
+            members: vec!["h2-influence".to_string(), "restarts".to_string()],
+            seed: Some(sample_solution()),
         }
     }
 
@@ -404,36 +474,63 @@ mod tests {
         let path = temp_path("roundtrip");
         let meta = sample_meta();
         let writer = CheckpointWriter::create(&path, &meta, Fault::disabled_ref()).expect("create");
-        writer.record_task(0, 4, Some(&sample_solution()));
-        writer.record_task(2, 7, None);
+        writer.record_task("h2-influence", 0, 4, Some(&sample_solution()));
+        writer.record_task("restarts", 2, 7, None);
         drop(writer);
 
         let cp = load(&path).expect("load").expect("file exists");
         assert_eq!(cp.meta.circuit, meta.circuit);
         assert_eq!(cp.meta.penalty_bits, meta.penalty_bits);
         assert_eq!(cp.meta.mode, Mode::Proposed);
-        assert_eq!(cp.meta.k, 2);
-        assert_eq!(cp.meta.engine, None, "classic files have no engine tag");
-        assert_eq!(cp.meta.seed.choices, meta.seed.choices);
+        assert_eq!(cp.meta.members, meta.members);
+        assert_eq!(
+            cp.meta.seed.expect("seeded").choices,
+            sample_solution().choices
+        );
         assert_eq!(cp.tasks.len(), 2);
-        assert_eq!(cp.tasks[&0].leaves, 4);
-        assert!(cp.tasks[&0].solution.is_some());
-        assert_eq!(cp.tasks[&2].leaves, 7);
-        assert!(cp.tasks[&2].solution.is_none());
+        assert_eq!(cp.tasks[&(0, 0)].leaves, 4);
+        assert!(cp.tasks[&(0, 0)].solution.is_some());
+        assert_eq!(cp.tasks[&(1, 2)].leaves, 7);
+        assert!(cp.tasks[&(1, 2)].solution.is_none());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn engine_tag_round_trips_and_old_files_stay_loadable() {
-        let path = temp_path("engine");
-        let mut meta = sample_meta();
-        meta.engine = Some("h2-natural".to_string());
+    fn unseeded_meta_round_trips_and_unknown_members_stop_the_replay() {
+        let path = temp_path("unseeded");
+        let meta = CheckpointMeta {
+            seed: None,
+            ..sample_meta()
+        };
         let writer = CheckpointWriter::create(&path, &meta, Fault::disabled_ref()).expect("create");
-        writer.record_task(1, 3, None);
+        writer.record_task("restarts", 1, 3, None);
+        writer.record_task("exact-natural", 0, 3, None);
+        writer.record_task("restarts", 2, 3, None);
         drop(writer);
         let cp = load(&path).expect("load").expect("file exists");
-        assert_eq!(cp.meta.engine.as_deref(), Some("h2-natural"));
-        assert_eq!(cp.tasks.len(), 1);
+        assert_eq!(cp.meta.seed, None);
+        assert_eq!(
+            cp.tasks.len(),
+            1,
+            "a foreign member slug is a malformed line"
+        );
+        assert!(cp.tasks.contains_key(&(1, 1)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn old_shape_files_are_a_typed_error() {
+        let path = temp_path("old-shape");
+        std::fs::write(
+            &path,
+            "{\"type\":\"meta\",\"version\":1,\"circuit\":\"c17\",\"inputs\":5,\"gates\":6,\
+             \"penalty\":\"3fa999999999999a\",\"mode\":\"proposed\",\"k\":3,\"seed\":null}\n\
+             {\"type\":\"task\",\"index\":0,\"leaves\":4,\"solution\":null}\n",
+        )
+        .expect("write");
+        let err = load(&path).expect_err("a file without member slugs must not replay");
+        assert!(matches!(err, OptError::Checkpoint(_)), "got {err:?}");
+        assert!(err.to_string().contains("older checkpoint format"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -442,7 +539,7 @@ mod tests {
         let path = temp_path("truncated");
         let writer =
             CheckpointWriter::create(&path, &sample_meta(), Fault::disabled_ref()).expect("create");
-        writer.record_task(0, 4, Some(&sample_solution()));
+        writer.record_task("h2-influence", 0, 4, Some(&sample_solution()));
         drop(writer);
         // Simulate a mid-write kill: append half a task line.
         let mut file = OpenOptions::new().append(true).open(&path).expect("open");
@@ -452,7 +549,7 @@ mod tests {
 
         let cp = load(&path).expect("load").expect("file exists");
         assert_eq!(cp.tasks.len(), 1, "the torn line is dropped");
-        assert!(cp.tasks.contains_key(&0));
+        assert!(cp.tasks.contains_key(&(0, 0)));
         std::fs::remove_file(&path).ok();
     }
 

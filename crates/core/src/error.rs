@@ -25,9 +25,9 @@ pub enum OptError {
     },
     /// The delay-penalty fraction was outside `0.0..=1.0`.
     InvalidPenalty(u64),
-    /// A checkpoint file could not be used: unreadable meta line, or its
-    /// recorded problem identity (circuit, penalty, mode, split depth)
-    /// does not match the run being resumed.
+    /// A checkpoint file could not be used: unreadable or older-format
+    /// meta line, or its recorded problem identity (circuit, sizes,
+    /// penalty, mode) or plan members do not match the run being resumed.
     Checkpoint(String),
 }
 

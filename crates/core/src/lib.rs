@@ -9,11 +9,19 @@
 //! * [`Optimizer::heuristic1`] — one ordered descent of the state tree, with
 //!   a greedy, leakage-sorted traversal of the gate tree at the leaf
 //!   (the paper's Heuristic 1);
-//! * [`Optimizer::heuristic2`] — Heuristic 1 plus a time-budgeted
+//! * [`Optimizer::run`] — Heuristic 1 plus a parallel, checkpointed
 //!   branch-and-bound improvement pass over the state tree (Heuristic 2);
 //! * [`Optimizer::exact`] — the full two-tree branch and bound (state tree ×
 //!   gate tree) with leakage lower-bound pruning, feasible only for small
 //!   circuits;
+//! * [`Optimizer::run_portfolio`] — a [`Plan`] racing Heuristic 2 under
+//!   several branch orders, exact and random restarts;
+//! * [`Optimizer::rerun_after_edit`] — warm re-optimization after an ECO
+//!   netlist edit.
+//!
+//! Every search is a plan over one engine: a bound-ordered descent of the
+//! state tree split into fixed units, with a greedy or exact gate tree at
+//! each leaf.
 //! * baselines via [`Mode`]: state assignment only, and state+`Vt` (the
 //!   DAC 2003 predecessor, the paper's ref.\[12\], without dual-`Tox`).
 //!
@@ -59,15 +67,15 @@ mod state_search;
 pub use checkpoint::CheckpointSpec;
 pub use error::OptError;
 pub use outcome::{DegradeReason, RunOutcome};
-pub use problem::{DelayPenalty, GateOrder, InputOrder, Mode, Problem};
+pub use problem::{DelayPenalty, GateOrder, Mode, Problem};
 pub use solution::Solution;
 pub use state_search::eco::EcoReport;
 pub use state_search::portfolio::{
-    self, BranchOrder, MemberReport, MemberStatus, PortfolioConfig, PortfolioOutcome,
-    ProvenanceEntry, Strategy,
+    self, BranchOrder, MemberReport, MemberStatus, Plan, PortfolioOutcome, ProvenanceEntry,
+    Strategy,
 };
 pub use state_search::WarmStats;
-pub use state_search::{BoundTracker, Optimizer};
+pub use state_search::{BoundTracker, LeafKind, Optimizer};
 
 // Re-exported so optimizer callers can configure the parallel searches,
 // attach observability, and inject faults without depending on the

@@ -39,18 +39,6 @@ pub enum GateOrder {
     Topological,
 }
 
-/// Primary-input branching order of the state-tree search (ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InputOrder {
-    /// Largest transitive fanout first — decide the most influential inputs
-    /// early so bounds tighten quickly (default; mirrors the paper's
-    /// bound-driven branch ordering).
-    #[default]
-    InfluenceDescending,
-    /// Netlist declaration order.
-    Natural,
-}
-
 /// Normalized delay penalty: the fraction of the fast→all-slow delay gap
 /// the optimized circuit may consume (paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]

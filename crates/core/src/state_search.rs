@@ -9,24 +9,27 @@
 
 use std::time::{Duration, Instant};
 
+use svtox_exec::{Budget, ExecConfig};
 use svtox_fault::Fault;
 use svtox_netlist::GateId;
 use svtox_obs::Obs;
 use svtox_sim::{Logic, TriSimulator};
-use svtox_sta::{Sta, StaCounters};
+use svtox_sta::Sta;
 use svtox_tech::{Current, Time};
 
 pub mod eco;
-mod parallel;
+mod engine;
 pub mod portfolio;
 mod resilient;
 
-pub use parallel::WarmStats;
+pub use eco::WarmStats;
 
 use crate::error::OptError;
 use crate::gate_assign::{exact_assign, gate_states, greedy_assign};
-use crate::problem::{DelayPenalty, GateOrder, InputOrder, Mode, Problem};
+use crate::problem::{DelayPenalty, GateOrder, Mode, Problem};
 use crate::solution::Solution;
+use engine::Run;
+use portfolio::{BranchOrder, Plan, Strategy};
 
 /// Incremental leakage lower bound over a partially-decided input vector.
 ///
@@ -139,6 +142,28 @@ impl<'p, 'n> BoundTracker<'p, 'n> {
     }
 }
 
+/// How a fully decided state-tree leaf is evaluated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafKind {
+    /// The greedy gate tree (Heuristics 1/2).
+    Greedy,
+    /// The exact gate-tree branch and bound.
+    Exact,
+}
+
+/// Publishes the work an analyzer did since its construction (its
+/// construction full-analysis included).
+pub(crate) fn flush_sta(obs: &Obs, sta: &Sta<'_>) {
+    if !obs.is_enabled() {
+        return;
+    }
+    let now = sta.counters();
+    obs.add("sta.full_analyzes", now.full_analyzes);
+    obs.add("sta.flushes", now.flushes);
+    obs.add("sta.gates_reevaluated", now.gates_reevaluated);
+    obs.raise_to("sta.max_dirty", now.max_dirty);
+}
+
 /// The simultaneous state/`Vt`/`Tox` optimizer.
 ///
 /// Created via [`Problem::optimizer`]. See the crate-level example.
@@ -148,7 +173,7 @@ pub struct Optimizer<'a> {
     penalty: DelayPenalty,
     mode: Mode,
     gate_order: GateOrder,
-    input_order: InputOrder,
+    input_order: BranchOrder,
     obs: &'a Obs,
     fault: &'a Fault,
 }
@@ -160,7 +185,7 @@ impl<'a> Optimizer<'a> {
             penalty,
             mode,
             gate_order: GateOrder::default(),
-            input_order: InputOrder::default(),
+            input_order: BranchOrder::default(),
             obs: Obs::disabled_ref(),
             fault: Fault::disabled_ref(),
         }
@@ -173,9 +198,10 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Overrides the input branching order (ablation knob).
+    /// Overrides the input branching order of Heuristic 1 and of the
+    /// one-member searches (ablation knob).
     #[must_use]
-    pub fn with_input_order(mut self, order: InputOrder) -> Self {
+    pub fn with_input_order(mut self, order: BranchOrder) -> Self {
         self.input_order = order;
         self
     }
@@ -204,25 +230,6 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Publishes the work an analyzer did since `base` (deltas, plus the
-    /// dirty-set high-water mark). A fresh analyzer pairs with
-    /// [`StaCounters::default`] as base so its construction full-analysis
-    /// is counted too.
-    pub(crate) fn flush_sta(&self, sta: &Sta<'_>, base: StaCounters) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let now = sta.counters();
-        self.obs
-            .add("sta.full_analyzes", now.full_analyzes - base.full_analyzes);
-        self.obs.add("sta.flushes", now.flushes - base.flushes);
-        self.obs.add(
-            "sta.gates_reevaluated",
-            now.gates_reevaluated - base.gates_reevaluated,
-        );
-        self.obs.raise_to("sta.max_dirty", now.max_dirty);
-    }
-
     /// The delay budget this optimizer works against.
     #[must_use]
     pub fn budget(&self) -> Time {
@@ -239,7 +246,7 @@ impl<'a> Optimizer<'a> {
         let _span = self.obs.span("core.heuristic1");
         let start = Instant::now();
         let mut tracker = BoundTracker::new(self.problem, self.mode);
-        let order = self.input_order();
+        let order = self.input_order.inputs(self.problem);
         let netlist = self.problem.netlist();
         let mut vector = vec![false; netlist.num_inputs()];
         for &i in &order {
@@ -256,96 +263,14 @@ impl<'a> Optimizer<'a> {
             }
         }
         let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-        let solution = self.evaluate_leaf(&vector, &mut sta, start, 1);
+        let mut solution = self.evaluate_leaf(&vector, LeafKind::Greedy, &mut sta);
+        solution.runtime = start.elapsed();
+        solution.leaves_explored = 1;
         self.obs.add("core.h1.decisions", order.len() as u64);
         self.obs.add("core.h1.leaves", 1);
         self.obs.add("core.bound.rebounds", tracker.rebounds());
-        self.flush_sta(&sta, StaCounters::default());
+        flush_sta(self.obs, &sta);
         Ok(solution)
-    }
-
-    /// **Heuristic 2**: Heuristic 1 plus a time-budgeted branch-and-bound
-    /// improvement pass over the state tree.
-    ///
-    /// The descent order and bounds match Heuristic 1; subtrees whose bound
-    /// already exceeds the incumbent are pruned. The pass stops when
-    /// `time_budget` expires or the tree is exhausted (making the state
-    /// search exact for small input counts — the gate tree stays greedy).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on library lookup failure.
-    pub fn heuristic2(&self, time_budget: Duration) -> Result<Solution, OptError> {
-        let start = Instant::now();
-        let mut best = self.heuristic1()?;
-        let _span = self.obs.span("core.heuristic2");
-        let netlist = self.problem.netlist();
-        let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-        let mut tracker = BoundTracker::new(self.problem, self.mode);
-        let order = self.input_order();
-        let mut leaves = best.leaves_explored;
-        let base_leaves = leaves;
-        let (mut nodes, mut prunes, mut incumbents) = (0u64, 0u64, 0u64);
-
-        // Iterative DFS: at each depth, branches still to explore.
-        struct Frame {
-            depth: usize,
-            remaining: Vec<bool>,
-        }
-        let mut vector = vec![false; netlist.num_inputs()];
-        let mut stack = vec![Frame {
-            depth: 0,
-            remaining: vec![true, false],
-        }];
-        'dfs: while let Some(frame) = stack.last_mut() {
-            if start.elapsed() > time_budget {
-                break 'dfs;
-            }
-            let depth = frame.depth;
-            if depth == order.len() {
-                leaves += 1;
-                let candidate = self.evaluate_leaf(&vector, &mut sta, start, leaves);
-                if candidate.leakage < best.leakage {
-                    best = candidate;
-                    incumbents += 1;
-                }
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            }
-            let Some(value) = frame.remaining.pop() else {
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            };
-            let input = order[depth];
-            tracker.set_input(input, Logic::from(value));
-            nodes += 1;
-            if tracker.bound() >= best.leakage {
-                prunes += 1;
-                tracker.set_input(input, Logic::X);
-                continue;
-            }
-            vector[input] = value;
-            stack.push(Frame {
-                depth: depth + 1,
-                remaining: vec![true, false],
-            });
-        }
-        best.runtime = start.elapsed();
-        best.leaves_explored = leaves;
-        self.obs.add("core.search.nodes", nodes);
-        self.obs.add("core.bound.rebounds", tracker.rebounds());
-        self.obs
-            .add("core.search.leaves", (leaves - base_leaves) as u64);
-        self.obs.add("core.search.prunes_local", prunes);
-        self.obs.add("core.search.incumbent_updates", incumbents);
-        self.flush_sta(&sta, StaCounters::default());
-        Ok(best)
     }
 
     /// **Local refinement**: starting from a solution, repeatedly flips
@@ -377,7 +302,7 @@ impl<'a> Optimizer<'a> {
                 let mut vector = best.vector.clone();
                 vector[i] = !vector[i];
                 leaves += 1;
-                let candidate = self.evaluate_leaf(&vector, &mut sta, begin, leaves);
+                let candidate = self.evaluate_leaf(&vector, LeafKind::Greedy, &mut sta);
                 if candidate.leakage < best.leakage {
                     best = candidate;
                     improved = true;
@@ -393,13 +318,16 @@ impl<'a> Optimizer<'a> {
         self.obs
             .add("core.refine.trials", (leaves - base_leaves) as u64);
         self.obs.add("core.refine.improvements", incumbents);
-        self.flush_sta(&sta, StaCounters::default());
+        flush_sta(self.obs, &sta);
         Ok(best)
     }
 
     /// The **exact** two-tree branch and bound: exhaustive, pruned search of
     /// the state tree with an exact gate-tree branch and bound at every
-    /// surviving leaf.
+    /// surviving leaf — a one-member exact plan on one worker, unseeded
+    /// (a Heuristic 1 seed could change which of two equal-cost witnesses
+    /// it returns), with fault injection off: a truncated "exact" answer
+    /// would be indistinguishable from a wrong one.
     ///
     /// # Errors
     ///
@@ -408,126 +336,49 @@ impl<'a> Optimizer<'a> {
     /// method is intended for the small circuits the paper's exact method
     /// handles.
     pub fn exact(&self, max_inputs: usize) -> Result<Solution, OptError> {
-        let netlist = self.problem.netlist();
-        if netlist.num_inputs() > max_inputs {
+        let inputs = self.problem.netlist().num_inputs();
+        if inputs > max_inputs {
             return Err(OptError::TooManyInputs {
-                inputs: netlist.num_inputs(),
+                inputs,
                 limit: max_inputs,
             });
         }
         let _span = self.obs.span("core.exact");
-        let start = Instant::now();
-        let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-        let budget = self.budget();
-        let mut tracker = BoundTracker::new(self.problem, self.mode);
-        let order = self.input_order();
-        let mut best: Option<Solution> = None;
-        let mut leaves = 0usize;
-        let (mut nodes, mut prunes, mut incumbents) = (0u64, 0u64, 0u64);
-        let mut vector = vec![false; netlist.num_inputs()];
-
-        struct Frame {
-            depth: usize,
-            remaining: Vec<bool>,
-        }
-        let mut stack = vec![Frame {
-            depth: 0,
-            remaining: vec![true, false],
-        }];
-        while let Some(frame) = stack.last_mut() {
-            let depth = frame.depth;
-            if depth == order.len() {
-                leaves += 1;
-                let states = gate_states(self.problem, &vector);
-                let assignment = exact_assign(self.problem, &states, self.mode, budget, &mut sta);
-                let better = best.as_ref().is_none_or(|b| assignment.leakage < b.leakage);
-                if better {
-                    incumbents += 1;
-                    best = Some(Solution {
-                        vector: vector.clone(),
-                        choices: assignment.choices,
-                        leakage: assignment.leakage,
-                        delay: assignment.delay,
-                        runtime: start.elapsed(),
-                        leaves_explored: leaves,
-                    });
-                }
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            }
-            let Some(value) = frame.remaining.pop() else {
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            };
-            let input = order[depth];
-            tracker.set_input(input, Logic::from(value));
-            nodes += 1;
-            if let Some(b) = &best {
-                if tracker.bound() >= b.leakage {
-                    prunes += 1;
-                    tracker.set_input(input, Logic::X);
-                    continue;
-                }
-            }
-            vector[input] = value;
-            stack.push(Frame {
-                depth: depth + 1,
-                remaining: vec![true, false],
-            });
-        }
-        let mut best = best.expect("at least one leaf is evaluated");
-        best.runtime = start.elapsed();
-        best.leaves_explored = leaves;
-        self.obs.add("core.search.nodes", nodes);
-        self.obs.add("core.bound.rebounds", tracker.rebounds());
-        self.obs.add("core.search.leaves", leaves as u64);
-        self.obs.add("core.search.prunes_local", prunes);
-        self.obs.add("core.search.incumbent_updates", incumbents);
-        self.flush_sta(&sta, StaCounters::default());
-        Ok(best)
+        let exact = Self {
+            fault: Fault::disabled_ref(),
+            ..*self
+        };
+        let plan = Plan::single(Strategy::Exact(self.input_order));
+        let (outcome, _) =
+            exact.search(&ExecConfig::serial(), &Budget::unlimited(), &Run::new(plan))?;
+        Ok(outcome.best)
     }
 
-    /// Evaluates one fully-decided vector with the greedy gate tree.
-    pub(crate) fn evaluate_leaf(
-        &self,
-        vector: &[bool],
-        sta: &mut Sta<'_>,
-        start: Instant,
-        leaves: usize,
-    ) -> Solution {
+    /// Evaluates one fully decided input vector with the gate tree of
+    /// `leaf`, under this optimizer's delay budget. `sta` must arrive in
+    /// the all-fast configuration and is returned to it. The solution's
+    /// `runtime` and `leaves_explored` are left zero.
+    pub fn evaluate_leaf(&self, vector: &[bool], leaf: LeafKind, sta: &mut Sta<'_>) -> Solution {
         let states = gate_states(self.problem, vector);
-        let assignment = greedy_assign(
-            self.problem,
-            &states,
-            self.mode,
-            self.gate_order,
-            self.budget(),
-            sta,
-        );
+        let assignment = match leaf {
+            LeafKind::Greedy => greedy_assign(
+                self.problem,
+                &states,
+                self.mode,
+                self.gate_order,
+                self.budget(),
+                sta,
+            ),
+            LeafKind::Exact => exact_assign(self.problem, &states, self.mode, self.budget(), sta),
+        };
         Solution {
             vector: vector.to_vec(),
             choices: assignment.choices,
             leakage: assignment.leakage,
             delay: assignment.delay,
-            runtime: start.elapsed(),
-            leaves_explored: leaves,
+            runtime: Duration::ZERO,
+            leaves_explored: 0,
         }
-    }
-
-    /// The input branching order (see [`InputOrder`]).
-    pub(crate) fn input_order(&self) -> Vec<usize> {
-        let n = self.problem.netlist().num_inputs();
-        let mut order: Vec<usize> = (0..n).collect();
-        if self.input_order == InputOrder::InfluenceDescending {
-            order.sort_by_key(|&i| std::cmp::Reverse(self.problem.tfo(i).len()));
-        }
-        order
     }
 }
 
@@ -567,7 +418,8 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let h1 = opt.heuristic1().unwrap();
-        let h2 = opt.heuristic2(Duration::from_millis(2000)).unwrap();
+        let exec = ExecConfig::serial().with_time_budget(Duration::from_millis(2000));
+        let h2 = opt.run(&exec, None).best().unwrap().clone();
         assert!(h2.leakage.value() <= h1.leakage.value() + 1e-9);
         h2.verify(&problem).unwrap();
         assert!(h2.leaves_explored >= h1.leaves_explored);
@@ -582,7 +434,8 @@ mod tests {
         let opt = problem.optimizer(DelayPenalty::new(0.10).unwrap(), Mode::Proposed);
         let exact = opt.exact(10).unwrap();
         let h1 = opt.heuristic1().unwrap();
-        let h2 = opt.heuristic2(Duration::from_secs(5)).unwrap();
+        let exec = ExecConfig::serial().with_time_budget(Duration::from_secs(5));
+        let h2 = opt.run(&exec, None).best().unwrap().clone();
         assert!(exact.leakage.value() <= h1.leakage.value() + 1e-9);
         assert!(exact.leakage.value() <= h2.leakage.value() + 1e-9);
         exact.verify(&problem).unwrap();
@@ -724,7 +577,7 @@ mod tests {
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let default = opt.heuristic1().unwrap();
         let natural = opt
-            .with_input_order(InputOrder::Natural)
+            .with_input_order(BranchOrder::Natural)
             .heuristic1()
             .unwrap();
         natural.verify(&problem).unwrap();

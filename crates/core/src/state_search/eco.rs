@@ -4,11 +4,12 @@
 //! reusing what the pre-edit run learned:
 //!
 //! * the previous solution's input vector, and
-//! * the per-task best vectors recorded in a PR 5 checkpoint file,
+//! * the seed and per-unit best vectors recorded in a checkpoint file of
+//!   any plan (a single run's or a portfolio's),
 //!
 //! are re-evaluated as feasible incumbents on the post-edit problem and
 //! fed to the shared cross-worker bound before the branch and bound
-//! starts (see [`Optimizer::heuristic2_parallel_warm`]).
+//! starts: a one-member Heuristic 2 plan with warm vectors.
 //!
 //! # Soundness: value reuse, not exploration skipping
 //!
@@ -35,8 +36,20 @@ use crate::checkpoint;
 use crate::error::OptError;
 use crate::solution::Solution;
 
-use super::parallel::WarmStats;
+use super::engine::Run;
+use super::portfolio::{Plan, Strategy};
 use super::Optimizer;
+
+/// Outcome of pre-search warm seeding ([`Optimizer::rerun_after_edit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct WarmStats {
+    /// Candidate vectors offered.
+    pub candidates: usize,
+    /// Candidates whose length matched the problem and were evaluated.
+    pub evaluated: usize,
+    /// Best (lowest) warm leakage value, if any candidate was evaluated.
+    pub best: Option<f64>,
+}
 
 /// What an ECO re-optimization did: the new solution plus reuse stats.
 #[derive(Debug, Clone)]
@@ -72,15 +85,16 @@ impl<'a> Optimizer<'a> {
     ///
     /// `self` must be built on the **post-edit** problem. `trace` is the
     /// edit's id mapping (used for reuse reporting); `prev` is the
-    /// pre-edit solution, `checkpoint` a PR 5 checkpoint file whose
-    /// per-task best vectors are mined as additional warm candidates
-    /// (best-effort: an unreadable or foreign file contributes nothing).
-    /// `shared_out` optionally exposes the live incumbent for
-    /// time-to-quality instrumentation.
+    /// pre-edit solution, `checkpoint` a checkpoint file of any pre-edit
+    /// run whose seed and per-unit best vectors are mined as additional
+    /// warm candidates (best-effort: an unreadable or foreign file
+    /// contributes nothing). `shared_out` optionally exposes the live
+    /// incumbent for time-to-quality instrumentation; with neither `prev`
+    /// nor `checkpoint` this is a cold [`Optimizer::run`] that exposes it.
     ///
     /// The returned solution is **bit-identical** to a cold
-    /// [`Optimizer::heuristic2_parallel`] on the same problem at any
-    /// thread count — reuse affects speed, not the answer. Candidate
+    /// [`Optimizer::run`] on the same problem at any thread count — reuse
+    /// affects speed, not the answer. Candidate
     /// vectors whose length no longer matches (the edit changed the
     /// primary-input count) are skipped silently.
     ///
@@ -109,7 +123,9 @@ impl<'a> Optimizer<'a> {
                         checkpoint_vectors += 1;
                     }
                 };
-                push(&loaded.meta.seed.vector);
+                if let Some(seed) = &loaded.meta.seed {
+                    push(&seed.vector);
+                }
                 for task in loaded.tasks.values() {
                     if let Some(sol) = &task.solution {
                         push(&sol.vector);
@@ -117,8 +133,12 @@ impl<'a> Optimizer<'a> {
                 }
             }
         }
-        let (solution, stats, warm) =
-            self.heuristic2_parallel_warm(exec, &warm_vectors, shared_out)?;
+        let run = Run {
+            warm: &warm_vectors,
+            cell: shared_out,
+            ..Run::new(Plan::single(Strategy::Heuristic2(self.input_order)))
+        };
+        let (outcome, warm) = self.search(exec, &exec.budget(), &run)?;
         let gates_total = self.problem.netlist().num_gates();
         let gates_carried = trace.gates_carried().min(gates_total);
         self.obs.add("core.eco.runs", 1);
@@ -131,8 +151,8 @@ impl<'a> Optimizer<'a> {
         self.obs.add("core.eco.gates_carried", gates_carried as u64);
         self.obs.add("core.eco.gates_total", gates_total as u64);
         Ok(EcoReport {
-            solution,
-            stats,
+            solution: outcome.best,
+            stats: outcome.stats,
             warm,
             checkpoint_vectors,
             gates_carried,
@@ -160,6 +180,14 @@ mod tests {
         random_dag(&RandomDagSpec::new("eco-small", 8, 4, 40, 6)).unwrap()
     }
 
+    /// A cold, completed run at `threads` workers.
+    fn cold(opt: &Optimizer<'_>, threads: usize) -> Solution {
+        match opt.run(&ExecConfig::with_threads(threads), None) {
+            crate::outcome::RunOutcome::Complete { solution, .. } => solution,
+            other => panic!("expected a complete run, got {other:?}"),
+        }
+    }
+
     /// A small functional edit: add two gates, rewire a PO driver pin,
     /// retag one output.
     fn edit(netlist: &mut Netlist) -> EditTrace {
@@ -179,18 +207,14 @@ mod tests {
         let pre = base();
         let problem = Problem::new(&pre, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-        let (prev, _) = opt
-            .heuristic2_parallel(&ExecConfig::with_threads(2))
-            .unwrap();
+        let prev = cold(&opt, 2);
 
         let mut post = pre.clone();
         let trace = edit(&mut post);
         let post_problem = Problem::new(&post, &lib, TimingConfig::default()).unwrap();
         let post_opt = post_problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
 
-        let (cold, _) = post_opt
-            .heuristic2_parallel(&ExecConfig::with_threads(1))
-            .unwrap();
+        let cold = cold(&post_opt, 1);
         for threads in [1usize, 2, 4] {
             let report = post_opt
                 .rerun_after_edit(
@@ -227,7 +251,7 @@ mod tests {
         let problem = Problem::new(&netlist, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         // A "previous" solution with the wrong input count.
-        let (mut prev, _) = opt.heuristic2_parallel(&ExecConfig::serial()).unwrap();
+        let mut prev = cold(&opt, 1);
         prev.vector.pop();
         let trace = EditTrace {
             gate_map: Vec::new(),
@@ -243,8 +267,7 @@ mod tests {
         assert_eq!(report.warm.candidates, 1);
         assert_eq!(report.warm.evaluated, 0);
         assert_eq!(report.warm.best, None);
-        let (cold, _) = opt.heuristic2_parallel(&ExecConfig::serial()).unwrap();
-        assert!(report.solution.same_assignment(&cold));
+        assert!(report.solution.same_assignment(&cold(&opt, 1)));
     }
 
     #[test]
@@ -277,10 +300,45 @@ mod tests {
         assert!(report.checkpoint_vectors >= 1);
         assert_eq!(report.warm.candidates, 1 + report.checkpoint_vectors);
         assert_eq!(report.warm.evaluated, report.warm.candidates);
-        let (cold, _) = post_opt
-            .heuristic2_parallel(&ExecConfig::with_threads(1))
-            .unwrap();
-        assert!(report.solution.same_assignment(&cold));
+        assert!(report.solution.same_assignment(&cold(&post_opt, 1)));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn portfolio_checkpoints_feed_the_warm_seed_too() {
+        use crate::checkpoint::CheckpointSpec;
+        use crate::state_search::portfolio::Plan;
+        use svtox_exec::Budget;
+
+        let lib = library();
+        let pre = base();
+        let problem = Problem::new(&pre, &lib, TimingConfig::default()).unwrap();
+        let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
+        let path =
+            std::env::temp_dir().join(format!("svtox-eco-portfolio-{}.ckpt", std::process::id()));
+        let plan = Plan {
+            restarts: 4,
+            ..Plan::default().without_exact()
+        };
+        opt.run_portfolio(
+            &ExecConfig::serial(),
+            &Budget::unlimited(),
+            &plan,
+            Some(&CheckpointSpec::fresh(&path)),
+        )
+        .unwrap();
+
+        let mut post = pre.clone();
+        let trace = edit(&mut post);
+        let post_problem = Problem::new(&post, &lib, TimingConfig::default()).unwrap();
+        let post_opt = post_problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
+        let report = post_opt
+            .rerun_after_edit(&ExecConfig::serial(), None, &trace, Some(&path), None)
+            .unwrap();
+        // The portfolio's one file holds at least the Heuristic 1 seed.
+        assert!(report.checkpoint_vectors >= 1);
+        assert_eq!(report.warm.evaluated, report.checkpoint_vectors);
+        assert!(report.solution.same_assignment(&cold(&post_opt, 1)));
+        std::fs::remove_file(&path).ok();
     }
 }

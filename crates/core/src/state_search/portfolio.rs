@@ -1,49 +1,12 @@
-//! Strategy portfolio: race H1, H2, exact and randomized restarts.
+//! Strategy portfolio: race H2 under three branch orders, exact and
+//! randomized restarts.
 //!
-//! No single engine dominates across circuits — the exact branch and
+//! No single strategy dominates across circuits — the exact branch and
 //! bound wins small instances outright, Heuristic 2 under different
 //! branch orders wins different mid-size instances, and randomized
-//! restarts occasionally beat both. [`Optimizer::run_portfolio`] races
-//! them all over the svtox-exec pool and keeps the first winner.
-//!
-//! # Round-based incumbent sharing
-//!
-//! Members share one incumbent cell ([`SharedMinF64`]), but *when* they
-//! read it is the crux of the determinism contract. The portfolio runs in
-//! **rounds**: each live member contributes exactly one *unit* of work
-//! per round (one prefix subtree for the H2/exact members, one random
-//! vector for the restarts member), and every unit of round `r` prunes
-//! against the **frozen bound** `B_r` — the incumbent as of the previous
-//! round's barrier. Improvements fold into the cell only *at* the
-//! barrier, in fixed member order. A unit is therefore a pure function of
-//! `(member state, B_r)`: no mid-round cross-member reads means no
-//! dependence on worker timing, so the winning strategy, the final cost
-//! bits, and every member's node/leaf/incumbent-update counts are
-//! bit-identical for any thread count — and a killed run resumes
-//! member-by-member to the same answer, because replayed units re-enter
-//! the fold at their original round positions, reconstructing the exact
-//! `B_r` sequence.
-//!
-//! Sharing still pays: a member's round-`r` improvement tightens every
-//! other member's round-`r+1` bound, one barrier later than a live read
-//! would, which costs at most one unit of stale pruning per member.
-//!
-//! # Anytime (deadline) mode
-//!
-//! The frozen-round contract above holds whenever the budget has **no
-//! wall-clock deadline** — cancellation and fault injection preserve it,
-//! because an interrupted unit is simply re-run in full on resume. A
-//! budget *with* a deadline can stop a unit mid-search, so the result
-//! already depends on timing and machine speed; paying the frozen-bound
-//! tax there buys nothing. Deadline runs therefore switch to **anytime
-//! mode**: every remaining unit is scheduled in one round, greedy and
-//! restart units prune against (and update) the incumbent cell *live*,
-//! and the deadline rather than the barrier ends the round. Exact units
-//! keep the frozen round bound even in anytime mode, so a
-//! proven-optimality claim never rests on a bound tightened by a partial
-//! result that is neither folded nor recorded. The deterministic
-//! accounting (member bests, provenance, incumbent updates) still happens
-//! only at the barrier, exactly as in frozen mode.
+//! restarts occasionally beat both. [`Optimizer::run_portfolio`] races the
+//! members of a [`Plan`] on the one search engine (see `engine.rs` for the
+//! round, anytime and checkpoint protocols) and keeps the first winner.
 //!
 //! # Winner and optimality
 //!
@@ -52,32 +15,32 @@
 //! incumbent and wins when nobody improves on it). Only an exact member
 //! exhausting all of its units proves global optimality — its leaf search
 //! covers the whole gate-choice space, which strictly contains the greedy
-//! and restart leaves — and doing so cancels the remaining members
-//! through their per-member budgets (children of the caller's budget, so
-//! a deadline or Ctrl-C still reaches everyone).
+//! and restart leaves — and doing so cancels the remaining members.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
-use std::time::Instant;
 
-use svtox_exec::rng::{derive_seed, Xoshiro256pp};
-use svtox_exec::{run_pool, Budget, CancelToken, ExecConfig, ExecError, SearchStats, SharedMinF64};
-use svtox_fault::Site as FaultSite;
-use svtox_sta::Sta;
+use svtox_exec::{Budget, ExecConfig, SearchStats};
 
-use crate::checkpoint::{self, CheckpointSpec, CheckpointWriter, TaskRecord};
+use crate::checkpoint::CheckpointSpec;
 use crate::error::OptError;
 use crate::outcome::{DegradeReason, RunOutcome};
+use crate::problem::Problem;
 use crate::solution::Solution;
 
-use super::parallel::{LeafKind, WorkerCtx};
-use super::{BoundTracker, Optimizer};
+use super::engine::Run;
+use super::Optimizer;
 
-/// Primary-input branching order of a portfolio member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Input-count ceiling for the exact members of a portfolio: their state
+/// space is `2^inputs` exact gate-tree searches.
+const EXACT_MAX_INPUTS: usize = 12;
+
+/// Primary-input branching order of a state-tree search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BranchOrder {
-    /// Largest transitive fanout first (the serial engine's default).
+    /// Largest transitive fanout first — decide the most influential
+    /// inputs early so bounds tighten quickly (default; mirrors the
+    /// paper's bound-driven branch ordering).
+    #[default]
     InfluenceDescending,
     /// Netlist declaration order.
     Natural,
@@ -85,6 +48,24 @@ pub enum BranchOrder {
     /// order that wins when the influential inputs are better decided
     /// late.
     InfluenceAscending,
+}
+
+impl BranchOrder {
+    /// The primary-input positions of `problem` in this order. The sorts
+    /// are stable, so the order — and with it a search's whole
+    /// trajectory — is reproducible.
+    #[must_use]
+    pub fn inputs(self, problem: &Problem<'_>) -> Vec<usize> {
+        let mut inputs: Vec<usize> = (0..problem.netlist().num_inputs()).collect();
+        match self {
+            BranchOrder::InfluenceDescending => {
+                inputs.sort_by_key(|&i| std::cmp::Reverse(problem.tfo(i).len()));
+            }
+            BranchOrder::Natural => {}
+            BranchOrder::InfluenceAscending => inputs.sort_by_key(|&i| problem.tfo(i).len()),
+        }
+        inputs
+    }
 }
 
 /// One racing strategy of the portfolio.
@@ -123,30 +104,59 @@ impl fmt::Display for Strategy {
     }
 }
 
-/// Portfolio tuning knobs.
+/// What the search engine races: members in declaration order, plus the
+/// restart stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortfolioConfig {
-    /// Random restart vectors the restarts member evaluates.
+pub struct Plan {
+    /// Racing members, in declaration order: winner ties break towards
+    /// the front. Heuristic 1 is not listed — it seeds every plan with a
+    /// greedy member and is ignored here.
+    pub members: Vec<Strategy>,
+    /// Random restart vectors the [`Strategy::Restarts`] member evaluates
+    /// (0 drops the member).
     pub restarts: usize,
-    /// Input-count ceiling for including the exact members.
-    pub exact_max_inputs: usize,
     /// Base seed of the restart vectors (each restart derives its own
     /// stream, so the set is identical for any thread count).
     pub seed: u64,
-    /// Prefix split depth of the H2/exact members: each gets `2^depth`
-    /// subtree units. Fixed — independent of the thread count — so
-    /// checkpoints resume across machines.
-    pub split_depth: usize,
 }
 
-impl Default for PortfolioConfig {
+impl Default for Plan {
+    /// The full portfolio: Heuristic 2 under all three branch orders,
+    /// exact under two (raced only up to 12 primary inputs), and 24
+    /// random restarts.
     fn default() -> Self {
         Self {
+            members: vec![
+                Strategy::Heuristic2(BranchOrder::InfluenceDescending),
+                Strategy::Heuristic2(BranchOrder::Natural),
+                Strategy::Heuristic2(BranchOrder::InfluenceAscending),
+                Strategy::Exact(BranchOrder::InfluenceDescending),
+                Strategy::Exact(BranchOrder::Natural),
+                Strategy::Restarts,
+            ],
             restarts: 24,
-            exact_max_inputs: 12,
             seed: 42,
-            split_depth: 4,
         }
+    }
+}
+
+impl Plan {
+    /// A one-member plan: every unit is scheduled at once and prunes
+    /// against the live shared incumbent.
+    #[must_use]
+    pub fn single(strategy: Strategy) -> Self {
+        Self {
+            members: vec![strategy],
+            restarts: 0,
+            seed: 0,
+        }
+    }
+
+    /// This plan without its exact members.
+    #[must_use]
+    pub fn without_exact(mut self) -> Self {
+        self.members.retain(|s| !matches!(s, Strategy::Exact(_)));
+        self
     }
 }
 
@@ -276,121 +286,15 @@ impl fmt::Display for PortfolioOutcome {
     }
 }
 
-/// One unit's barrier-fold entry:
-/// `(member, unit, solution, exhausted, nodes, leaves, replayed)`.
-type UnitResult = (usize, usize, Option<Solution>, bool, u64, u64, bool);
-
-/// What one unit reports back through the pool.
-struct UnitReturn {
-    solution: Option<Solution>,
-    exhausted: bool,
-    nodes: u64,
-    leaves: u64,
-}
-
-/// Immutable description of one round task, safe to share with workers.
-struct TaskDesc {
-    member: usize,
-    unit: usize,
-    kind: TaskKind,
-    budget: Budget,
-}
-
-enum TaskKind {
-    Subtree {
-        order: Vec<usize>,
-        k: usize,
-        leaf: LeafKind,
-    },
-    Restart {
-        seed: u64,
-    },
-}
-
-/// Mutable per-member bookkeeping of the driver loop.
-struct Member {
-    strategy: Strategy,
-    kind: MemberKind,
-    units_total: usize,
-    budget: Budget,
-    recorded: BTreeMap<usize, TaskRecord>,
-    writer: Option<CheckpointWriter>,
-    units_done: usize,
-    resumed_units: usize,
-    best_cost: Option<f64>,
-    nodes: u64,
-    leaves: u64,
-    incumbent_updates: u64,
-    preempted: bool,
-    cancelled: bool,
-}
-
-enum MemberKind {
-    Seed,
-    Subtree {
-        order: Vec<usize>,
-        k: usize,
-        leaf: LeafKind,
-    },
-    Restarts,
-}
-
-impl Member {
-    /// Whether the member still has a unit to contribute this round.
-    fn runnable(&self) -> bool {
-        !self.preempted && !self.cancelled && self.units_done < self.units_total
-    }
-
-    fn status(&self) -> MemberStatus {
-        if self.units_done == self.units_total {
-            MemberStatus::Complete
-        } else if self.cancelled {
-            MemberStatus::Cancelled
-        } else {
-            MemberStatus::Preempted
-        }
-    }
-
-    fn report(&self) -> MemberReport {
-        MemberReport {
-            strategy: self.strategy,
-            status: self.status(),
-            best_cost: self.best_cost,
-            units_done: self.units_done,
-            units_total: self.units_total,
-            resumed_units: self.resumed_units,
-            nodes: self.nodes,
-            leaves: self.leaves,
-            incumbent_updates: self.incumbent_updates,
-        }
-    }
-}
-
 impl<'a> Optimizer<'a> {
-    /// Branching order for a portfolio member (stable sorts, so the
-    /// order — and with it the whole member trajectory — is reproducible).
-    fn branch_order(&self, order: BranchOrder) -> Vec<usize> {
-        let n = self.problem.netlist().num_inputs();
-        let mut inputs: Vec<usize> = (0..n).collect();
-        match order {
-            BranchOrder::InfluenceDescending => {
-                inputs.sort_by_key(|&i| std::cmp::Reverse(self.problem.tfo(i).len()));
-            }
-            BranchOrder::Natural => {}
-            BranchOrder::InfluenceAscending => {
-                inputs.sort_by_key(|&i| self.problem.tfo(i).len());
-            }
-        }
-        inputs
-    }
-
-    /// Races the full strategy portfolio under `budget` and folds the
-    /// members into a typed [`PortfolioOutcome`].
+    /// Races the members of `plan` under `budget` and folds them into a
+    /// typed [`PortfolioOutcome`]. Exact members race only on circuits
+    /// with at most 12 primary inputs.
     ///
-    /// With a [`CheckpointSpec`], each member appends its exhausted units
-    /// to its own file (`<path>.<slug>`, tagged with the member's engine
-    /// slug) and a resumed run replays them at their original round
-    /// positions — bit-identical to an uninterrupted run.
+    /// With a [`CheckpointSpec`], every exhausted unit is appended to the
+    /// one checkpoint file, tagged with its member's slug, and a resumed
+    /// run replays the units at their original round positions —
+    /// bit-identical to an uninterrupted run.
     ///
     /// # Errors
     ///
@@ -402,512 +306,19 @@ impl<'a> Optimizer<'a> {
         &self,
         exec: &ExecConfig,
         budget: &Budget,
-        config: &PortfolioConfig,
+        plan: &Plan,
         checkpoint: Option<&CheckpointSpec>,
     ) -> Result<PortfolioOutcome, OptError> {
-        let start = Instant::now();
         let _span = self.obs.span("core.portfolio.run");
-        let netlist = self.problem.netlist();
-        let n = netlist.num_inputs();
-        let k = config.split_depth.min(n);
-
-        // Heuristic 1 is deterministic and cheap, so resume re-derives
-        // the seed instead of trusting the file.
-        let seed_sol = self.heuristic1()?;
-        let seed_leak = seed_sol.leakage.value();
-        let delay_budget = self.budget();
-
-        // Fixed declaration order — winner ties break towards the front.
-        let mut strategies = vec![
-            (Strategy::Heuristic1, MemberKind::Seed, 0usize),
-            (
-                Strategy::Heuristic2(BranchOrder::InfluenceDescending),
-                MemberKind::Subtree {
-                    order: self.branch_order(BranchOrder::InfluenceDescending),
-                    k,
-                    leaf: LeafKind::Greedy,
-                },
-                1usize << k,
-            ),
-            (
-                Strategy::Heuristic2(BranchOrder::Natural),
-                MemberKind::Subtree {
-                    order: self.branch_order(BranchOrder::Natural),
-                    k,
-                    leaf: LeafKind::Greedy,
-                },
-                1usize << k,
-            ),
-            (
-                Strategy::Heuristic2(BranchOrder::InfluenceAscending),
-                MemberKind::Subtree {
-                    order: self.branch_order(BranchOrder::InfluenceAscending),
-                    k,
-                    leaf: LeafKind::Greedy,
-                },
-                1usize << k,
-            ),
-        ];
-        if n <= config.exact_max_inputs {
-            for order in [BranchOrder::InfluenceDescending, BranchOrder::Natural] {
-                strategies.push((
-                    Strategy::Exact(order),
-                    MemberKind::Subtree {
-                        order: self.branch_order(order),
-                        k,
-                        leaf: LeafKind::Exact,
-                    },
-                    1usize << k,
-                ));
-            }
+        let mut plan = plan.clone();
+        if self.problem.netlist().num_inputs() > EXACT_MAX_INPUTS {
+            plan = plan.without_exact();
         }
-        if config.restarts > 0 {
-            strategies.push((Strategy::Restarts, MemberKind::Restarts, config.restarts));
-        }
-
-        let mut members = Vec::with_capacity(strategies.len());
-        for (strategy, kind, units_total) in strategies {
-            let member_k = match &kind {
-                MemberKind::Subtree { k, .. } => *k,
-                _ => 0,
-            };
-            let (recorded, writer) =
-                self.member_checkpoint(checkpoint, strategy, member_k, units_total, &seed_sol)?;
-            members.push(Member {
-                strategy,
-                kind,
-                units_total,
-                budget: budget.child(CancelToken::new()),
-                recorded,
-                writer,
-                units_done: 0,
-                resumed_units: 0,
-                best_cost: if matches!(strategy, Strategy::Heuristic1) {
-                    Some(seed_leak)
-                } else {
-                    None
-                },
-                nodes: 0,
-                leaves: 0,
-                incumbent_updates: 0,
-                preempted: false,
-                cancelled: false,
-            });
-        }
-
-        // A deadline marks the run as *anytime*: it can stop mid-unit,
-        // so its result already depends on timing and machine speed. In
-        // that mode the frozen-round contract would only cost pruning
-        // depth — a 2^k-leaf unit rarely exhausts before the deadline,
-        // leaving every member to search with the seed bound forever. So
-        // anytime runs trade the (already unattainable) bit-identity for
-        // quality: greedy units share the incumbent cell live and every
-        // remaining unit is scheduled at once, letting the deadline
-        // rather than the barrier end the round.
-        let live = budget.has_deadline();
-        // The portfolio incumbent. Without a deadline it is updated only
-        // at round barriers, so every unit of a round prunes against the
-        // same frozen bound.
-        let cell = SharedMinF64::new(seed_leak);
-        let mut best = seed_sol.clone();
-        // Degraded-run fallback attribution: a mid-unit (non-exhausted)
-        // improvement folds into `best` but not into any member's
-        // deterministic accounting.
-        let mut partial_winner: Option<Strategy> = None;
-        let mut provenance = vec![ProvenanceEntry {
-            strategy: Strategy::Heuristic1,
-            round: 0,
-            cost: seed_leak,
-        }];
-        let mut total_stats = SearchStats {
-            completed: true,
-            ..SearchStats::default()
+        let run = Run {
+            checkpoint,
+            ..Run::new(plan)
         };
-        let mut rounds = 0usize;
-        let mut live_units = 0u64;
-        let mut proven_optimal = false;
-        let mut worker_loss: Option<(usize, String)> = None;
-        let mut task_failures: (usize, Option<String>) = (0, None);
-
-        while members.iter().any(Member::runnable) {
-            if budget.expired() {
-                for m in members.iter_mut().filter(|m| m.runnable()) {
-                    m.preempted = true;
-                }
-                break;
-            }
-            let bound = cell.get();
-            let mut results: Vec<UnitResult> = Vec::new();
-            let mut tasks: Vec<TaskDesc> = Vec::new();
-            for (mi, m) in members.iter_mut().enumerate() {
-                if !m.runnable() {
-                    continue;
-                }
-                // A frozen round advances one unit per member; an
-                // anytime round schedules every remaining unit at once.
-                let span_end = if live {
-                    m.units_total
-                } else {
-                    m.units_done + 1
-                };
-                for unit in m.units_done..span_end {
-                    if let Some(rec) = m.recorded.get(&unit) {
-                        results.push((mi, unit, rec.solution.clone(), true, 0, rec.leaves, true));
-                        continue;
-                    }
-                    let kind = match &m.kind {
-                        MemberKind::Subtree { order, k, leaf } => TaskKind::Subtree {
-                            order: order.clone(),
-                            k: *k,
-                            leaf: *leaf,
-                        },
-                        MemberKind::Restarts => TaskKind::Restart {
-                            seed: derive_seed(config.seed, unit as u64),
-                        },
-                        MemberKind::Seed => unreachable!("seed member has no units"),
-                    };
-                    tasks.push(TaskDesc {
-                        member: mi,
-                        unit,
-                        kind,
-                        budget: m.budget.clone(),
-                    });
-                }
-            }
-            if live {
-                // Interleave members so the first workers cover one unit
-                // of each strategy instead of draining one member's
-                // queue before the deadline lands. Restart units are
-                // near-free (one leaf evaluation each) and feed the live
-                // incumbent, so the whole restart block runs right after
-                // the first rank of dives — on large circuits a dive
-                // never finishes, and restarts queued behind a second
-                // dive rank would never run at all.
-                tasks.sort_by_key(|t| {
-                    let rank = match &t.kind {
-                        TaskKind::Subtree { .. } if t.unit == 0 => 0,
-                        TaskKind::Restart { .. } => 1,
-                        TaskKind::Subtree { .. } => 2,
-                    };
-                    (rank, t.unit, t.member)
-                });
-            }
-
-            if !tasks.is_empty() {
-                live_units += tasks.len() as u64;
-                let run = run_pool(
-                    exec,
-                    tasks.len(),
-                    budget,
-                    self.obs,
-                    self.fault,
-                    |_worker| WorkerCtx {
-                        sta: Sta::new(netlist, self.problem.library(), self.problem.timing())
-                            .expect("library already validated by heuristic 1"),
-                        tracker: BoundTracker::new(self.problem, self.mode),
-                        vector: vec![false; n],
-                    },
-                    |ctx, t, ws| {
-                        let shared = live.then_some(&cell);
-                        Some(self.run_unit(ctx, &tasks[t], bound, shared, delay_budget, ws))
-                    },
-                );
-                total_stats.absorb(&run.stats);
-                for failure in &run.failures {
-                    let mi = tasks[failure.task].member;
-                    members[mi].preempted = true;
-                    task_failures.0 += 1;
-                    if task_failures.1.is_none() {
-                        task_failures.1 = Some(failure.message.clone());
-                    }
-                }
-                if let Some(error) = run.error {
-                    match error {
-                        ExecError::WorkerPanic { worker, message } => {
-                            worker_loss = Some((worker, message));
-                        }
-                        other => return Err(OptError::Exec(other)),
-                    }
-                }
-                for (t, slot) in run.results.into_iter().enumerate() {
-                    let desc = &tasks[t];
-                    match slot {
-                        Some(unit) => results.push((
-                            desc.member,
-                            desc.unit,
-                            unit.solution,
-                            unit.exhausted,
-                            unit.nodes,
-                            unit.leaves,
-                            false,
-                        )),
-                        // Skipped by budget expiry (or lost with a dead
-                        // worker): the unit never ran to exhaustion.
-                        None => {
-                            members[desc.member].preempted = true;
-                        }
-                    }
-                }
-            }
-            drop(tasks);
-
-            // Barrier fold, in fixed (member, unit) order.
-            results.sort_by_key(|r| (r.0, r.1));
-            for (mi, unit, solution, exhausted, nodes, leaves, replayed) in results {
-                let m = &mut members[mi];
-                m.nodes += nodes;
-                m.leaves += leaves;
-                if exhausted {
-                    if replayed {
-                        m.resumed_units += 1;
-                    } else if let Some(w) = &m.writer {
-                        w.record_task(unit, leaves, solution.as_ref());
-                    }
-                    m.units_done += 1;
-                } else {
-                    m.preempted = true;
-                }
-                let Some(sol) = solution else { continue };
-                let cost = sol.leakage.value();
-                if exhausted {
-                    if m.best_cost.is_none_or(|b| cost < b) {
-                        m.best_cost = Some(cost);
-                    }
-                    if cost < best.leakage.value() {
-                        cell.update_min(cost);
-                        m.incumbent_updates += 1;
-                        provenance.push(ProvenanceEntry {
-                            strategy: m.strategy,
-                            round: rounds,
-                            cost,
-                        });
-                        best = sol;
-                    }
-                } else if cost < best.leakage.value() {
-                    // Anytime value from an interrupted unit: keep the
-                    // solution but leave the deterministic accounting
-                    // (cell, member best, provenance) untouched — resume
-                    // re-runs the unit in full.
-                    partial_winner = Some(m.strategy);
-                    best = sol;
-                }
-            }
-            rounds += 1;
-
-            if members
-                .iter()
-                .any(|m| matches!(m.strategy, Strategy::Exact(_)) && m.units_done == m.units_total)
-            {
-                proven_optimal = true;
-                for m in members.iter_mut().filter(|m| m.runnable()) {
-                    m.cancelled = true;
-                    m.budget.cancel();
-                }
-            }
-            if worker_loss.is_some() {
-                for m in members.iter_mut().filter(|m| m.runnable()) {
-                    m.preempted = true;
-                }
-                break;
-            }
-        }
-
-        let reason = if let Some((worker, message)) = worker_loss {
-            Some(DegradeReason::WorkerLoss { worker, message })
-        } else if task_failures.0 > 0 {
-            Some(DegradeReason::TasksFailed {
-                failed: task_failures.0,
-                first: task_failures.1.unwrap_or_default(),
-            })
-        } else if members.iter().any(|m| m.preempted) {
-            if budget.deadline_passed() {
-                Some(DegradeReason::DeadlineExpired)
-            } else {
-                Some(DegradeReason::Cancelled)
-            }
-        } else {
-            None
-        };
-
-        let best_bits = best.leakage.value().to_bits();
-        let winner = members
-            .iter()
-            .find(|m| m.best_cost.is_some_and(|c| c.to_bits() == best_bits))
-            .map(|m| m.strategy)
-            .or(partial_winner)
-            .unwrap_or(Strategy::Heuristic1);
-
-        best.runtime = start.elapsed();
-        best.leaves_explored =
-            seed_sol.leaves_explored + members.iter().map(|m| m.leaves).sum::<u64>() as usize;
-        total_stats.completed = reason.is_none();
-        total_stats.wall = start.elapsed();
-
-        let members: Vec<MemberReport> = members.iter().map(Member::report).collect();
-        let complete = members
-            .iter()
-            .filter(|m| m.status == MemberStatus::Complete)
-            .count() as u64;
-        let cancelled = members
-            .iter()
-            .filter(|m| m.status == MemberStatus::Cancelled)
-            .count() as u64;
-        let preempted = members
-            .iter()
-            .filter(|m| m.status == MemberStatus::Preempted)
-            .count() as u64;
-        let resumed: u64 = members.iter().map(|m| m.resumed_units as u64).sum();
-        self.obs.add("core.portfolio.rounds", rounds as u64);
-        self.obs.add("core.portfolio.units", live_units);
-        self.obs.add("core.portfolio.units_resumed", resumed);
-        self.obs.add(
-            "core.portfolio.incumbent_updates",
-            (provenance.len() - 1) as u64,
-        );
-        self.obs.add("core.portfolio.members_complete", complete);
-        self.obs.add("core.portfolio.members_cancelled", cancelled);
-        self.obs.add("core.portfolio.members_preempted", preempted);
-
-        Ok(PortfolioOutcome {
-            winner,
-            best,
-            proven_optimal,
-            rounds,
-            members,
-            provenance,
-            stats: total_stats,
-            reason,
-        })
-    }
-
-    /// Executes one live unit (worker side).
-    fn run_unit(
-        &self,
-        ctx: &mut WorkerCtx<'a, 'a>,
-        desc: &TaskDesc,
-        bound: f64,
-        live: Option<&SharedMinF64>,
-        delay_budget: svtox_tech::Time,
-        ws: &mut svtox_exec::WorkerStats,
-    ) -> UnitReturn {
-        let nodes0 = ws.nodes_expanded;
-        let leaves0 = ws.leaves_evaluated;
-        if desc.budget.expired() {
-            return UnitReturn {
-                solution: None,
-                exhausted: false,
-                nodes: 0,
-                leaves: 0,
-            };
-        }
-        let solution = match &desc.kind {
-            TaskKind::Subtree { order, k, leaf } => {
-                // Reproducible rounds prune against a private cell frozen
-                // at the round bound: the unit prunes exactly as the
-                // serial rule dictates, immune to mid-round cross-member
-                // noise. Anytime runs share the real incumbent instead —
-                // except exact units, whose proven-optimality claim must
-                // never rest on a bound tightened by a partial result
-                // that is neither folded nor recorded.
-                let frozen = SharedMinF64::new(bound);
-                let (cell, bound) = match live {
-                    Some(cell) if matches!(leaf, LeafKind::Greedy) => (cell, cell.get()),
-                    _ => (&frozen, bound),
-                };
-                self.search_subtree(
-                    ctx,
-                    desc.unit,
-                    *k,
-                    order,
-                    &desc.budget,
-                    cell,
-                    bound,
-                    delay_budget,
-                    *leaf,
-                    ws,
-                )
-            }
-            TaskKind::Restart { seed } => {
-                // Anytime runs judge (and feed) the live incumbent; a
-                // random vector that only beats a stale round bound is
-                // not worth reporting.
-                let bound = live.map_or(bound, SharedMinF64::get);
-                let start = Instant::now();
-                let mut rng = Xoshiro256pp::seed_from_u64(*seed);
-                for slot in ctx.vector.iter_mut() {
-                    *slot = rng.next_u64() & 1 == 1;
-                }
-                ws.leaves_evaluated += 1;
-                let sol = self.evaluate_leaf(
-                    &ctx.vector,
-                    &mut ctx.sta,
-                    start,
-                    ws.leaves_evaluated as usize,
-                );
-                if self.fault.fires(FaultSite::CoreLeaf) {
-                    desc.budget.cancel();
-                }
-                if let Some(cell) = live {
-                    cell.update_min(sol.leakage.value());
-                }
-                (sol.leakage.value() < bound).then_some(sol)
-            }
-        };
-        UnitReturn {
-            solution,
-            exhausted: !desc.budget.expired(),
-            nodes: ws.nodes_expanded - nodes0,
-            leaves: ws.leaves_evaluated - leaves0,
-        }
-    }
-
-    /// Loads or creates one member's checkpoint state.
-    fn member_checkpoint(
-        &self,
-        spec: Option<&CheckpointSpec>,
-        strategy: Strategy,
-        k: usize,
-        units_total: usize,
-        seed: &Solution,
-    ) -> Result<(BTreeMap<usize, TaskRecord>, Option<CheckpointWriter>), OptError> {
-        let Some(spec) = spec else {
-            return Ok((BTreeMap::new(), None));
-        };
-        if units_total == 0 {
-            // The seed member has nothing to record.
-            return Ok((BTreeMap::new(), None));
-        }
-        let slug = strategy.slug();
-        let path = PathBuf::from(format!("{}.{slug}", spec.path.display()));
-        let member_spec = CheckpointSpec {
-            path: path.clone(),
-            resume: spec.resume,
-        };
-        let loaded = if spec.resume {
-            checkpoint::load(&path)?
-        } else {
-            None
-        };
-        match loaded {
-            Some(cp) => {
-                self.validate_meta(&cp.meta, k, &member_spec)?;
-                if cp.meta.engine.as_deref() != Some(slug) {
-                    return Err(OptError::Checkpoint(format!(
-                        "{}: recorded engine {:?} does not match member \"{slug}\"",
-                        path.display(),
-                        cp.meta.engine
-                    )));
-                }
-                let writer = CheckpointWriter::append(&path, self.fault)?;
-                Ok((cp.tasks, Some(writer)))
-            }
-            None => {
-                let mut meta = self.meta(k, seed);
-                meta.engine = Some(slug.to_string());
-                let writer = CheckpointWriter::create(&path, &meta, self.fault)?;
-                Ok((BTreeMap::new(), Some(writer)))
-            }
-        }
+        Ok(self.search(exec, budget, &run)?.0)
     }
 }
 
@@ -944,13 +355,12 @@ mod tests {
         )
     }
 
-    /// A config without the exact members, for tests that only need the
+    /// A plan without the exact members, for tests that only need the
     /// cheap strategies (greedy leaves evaluate in microseconds).
-    fn greedy_config() -> PortfolioConfig {
-        PortfolioConfig {
+    fn greedy_config() -> Plan {
+        Plan {
             restarts: 12,
-            exact_max_inputs: 0,
-            ..PortfolioConfig::default()
+            ..Plan::default().without_exact()
         }
     }
 
@@ -959,19 +369,6 @@ mod tests {
             "svtox-portfolio-{tag}-{}.jsonl",
             std::process::id()
         ))
-    }
-
-    fn remove_member_files(base: &std::path::Path) {
-        for slug in [
-            "h2-influence",
-            "h2-natural",
-            "h2-reverse",
-            "exact-influence",
-            "exact-natural",
-            "restarts",
-        ] {
-            std::fs::remove_file(format!("{}.{slug}", base.display())).ok();
-        }
     }
 
     #[test]
@@ -1017,9 +414,9 @@ mod tests {
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         // More restart units than prefix units: the exact members finish
         // first and the restarts member must be cancelled, not completed.
-        let config = PortfolioConfig {
+        let config = Plan {
             restarts: 40,
-            ..PortfolioConfig::default()
+            ..Plan::default()
         };
         let outcome = opt
             .run_portfolio(
@@ -1059,17 +456,14 @@ mod tests {
             .run_portfolio(
                 &ExecConfig::serial(),
                 &Budget::unlimited(),
-                &PortfolioConfig::default(),
+                &Plan::default(),
                 None,
             )
             .unwrap();
         let portfolio = outcome.best.leakage.value();
         let h1 = opt.heuristic1().unwrap().leakage.value();
-        let h2 = opt
-            .heuristic2(std::time::Duration::from_secs(10))
-            .unwrap()
-            .leakage
-            .value();
+        let h2_exec = ExecConfig::serial().with_time_budget(std::time::Duration::from_secs(10));
+        let h2 = opt.run(&h2_exec, None).best().unwrap().leakage.value();
         let exact = opt.exact(12).unwrap().leakage.value();
         assert!(portfolio <= h1 + 1e-15);
         assert!(portfolio <= h2 + 1e-15);
@@ -1125,7 +519,7 @@ mod tests {
             reference.best.leakage.value().to_bits()
         );
         assert!(resumed.best.same_assignment(&reference.best));
-        remove_member_files(&base);
+        std::fs::remove_file(&base).ok();
     }
 
     #[test]
@@ -1143,23 +537,26 @@ mod tests {
             Some(&CheckpointSpec::fresh(&base)),
         )
         .unwrap();
-        // Swap two members' files: the engine tag must reject the mix-up.
-        let a = format!("{}.h2-influence", base.display());
-        let b = format!("{}.h2-natural", base.display());
-        let tmp = format!("{}.swap", base.display());
-        std::fs::rename(&a, &tmp).unwrap();
-        std::fs::rename(&b, &a).unwrap();
-        std::fs::rename(&tmp, &b).unwrap();
+        // Reordered members give different unit spaces and tie orders:
+        // the recorded member slugs must reject the mix-up.
+        let mut swapped = config.clone();
+        swapped.members.swap(0, 1);
         let err = opt
             .run_portfolio(
                 &exec,
                 &Budget::unlimited(),
-                &config,
+                &swapped,
                 Some(&CheckpointSpec::resume(&base)),
             )
-            .expect_err("swapped files must fail");
-        assert!(err.to_string().contains("engine"), "got {err}");
-        remove_member_files(&base);
+            .expect_err("a reordered plan must fail");
+        assert!(err.to_string().contains("members"), "got {err}");
+        // So must a one-member run resuming the portfolio's file.
+        let outcome = opt.run(&exec, Some(&CheckpointSpec::resume(&base)));
+        let RunOutcome::Failed { error } = outcome else {
+            panic!("a single-member run must not replay a portfolio file, got {outcome}");
+        };
+        assert!(error.to_string().contains("members"), "got {error}");
+        std::fs::remove_file(&base).ok();
     }
 
     #[test]
@@ -1171,7 +568,7 @@ mod tests {
             .run_portfolio(
                 &ExecConfig::with_threads(2),
                 &Budget::with_duration(std::time::Duration::ZERO),
-                &PortfolioConfig::default(),
+                &Plan::default(),
                 None,
             )
             .unwrap();

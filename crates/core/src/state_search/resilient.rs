@@ -1,7 +1,7 @@
 //! The production entry point: fault-tolerant, checkpointed search.
 //!
-//! [`Optimizer::run`] wraps the root-split parallel search of
-//! [`super::parallel`] in the degradation contract of
+//! [`Optimizer::run`] is a one-member Heuristic 2 plan over the search
+//! engine, under the degradation contract of
 //! [`crate::outcome::RunOutcome`]:
 //!
 //! * the execution engine runs with the optimizer's fault handle and
@@ -10,25 +10,21 @@
 //! * any shortfall that still leaves an incumbent (deadline, cancel,
 //!   exhausted retry/respawn budgets) degrades instead of erroring,
 //!   carrying the best solution found and the reason;
-//! * with a [`CheckpointSpec`], every exhaustively-explored prefix
-//!   subtree is appended to a JSONL file as it finishes, and a resumed
-//!   run replays those records instead of recomputing them — the final
-//!   solution is bit-identical to an uninterrupted run (same assignment
-//!   for any thread count; additionally the same leaf count serially).
+//! * with a [`CheckpointSpec`], every exhaustively explored unit is
+//!   appended to a JSONL file as it finishes, and a resumed run replays
+//!   those records instead of recomputing them — the final solution is
+//!   bit-identical to an uninterrupted run (same assignment for any
+//!   thread count on either side; additionally the same leaf count
+//!   serially).
 
-use std::collections::BTreeMap;
-use std::time::Instant;
+use svtox_exec::{Budget, ExecConfig};
 
-use svtox_exec::{min_by_stable, run_pool, Budget, ExecConfig, ExecError, SharedMinF64};
-use svtox_sta::Sta;
+use crate::checkpoint::CheckpointSpec;
+use crate::outcome::RunOutcome;
 
-use crate::checkpoint::{self, CheckpointMeta, CheckpointSpec, CheckpointWriter};
-use crate::error::OptError;
-use crate::outcome::{DegradeReason, RunOutcome};
-use crate::solution::Solution;
-
-use super::parallel::{prefix_depth, LeafKind, WorkerCtx};
-use super::{BoundTracker, Optimizer};
+use super::engine::Run;
+use super::portfolio::{Plan, Strategy};
+use super::Optimizer;
 
 impl<'a> Optimizer<'a> {
     /// Runs the Heuristic 2 search under the full robustness contract:
@@ -37,9 +33,8 @@ impl<'a> Optimizer<'a> {
     /// site, optional checkpointing, and a typed [`RunOutcome`] instead
     /// of an error that would discard the incumbent.
     ///
-    /// Semantics match [`Optimizer::heuristic2_parallel`] exactly when
-    /// nothing goes wrong: same seed, same bounds, same bit-identical
-    /// result for any thread count.
+    /// Heuristic 1 seeds the search; the result is bit-identical for any
+    /// thread count when nothing goes wrong.
     pub fn run(&self, exec: &ExecConfig, checkpoint: Option<&CheckpointSpec>) -> RunOutcome {
         self.run_with_budget(exec, &exec.budget_faulted(self.fault), checkpoint)
     }
@@ -60,234 +55,15 @@ impl<'a> Optimizer<'a> {
         budget: &Budget,
         checkpoint: Option<&CheckpointSpec>,
     ) -> RunOutcome {
-        match self.run_inner(exec, budget, checkpoint) {
-            Ok(outcome) => outcome,
+        let _span = self.obs.span("core.run");
+        let run = Run {
+            checkpoint,
+            ..Run::new(Plan::single(Strategy::Heuristic2(self.input_order)))
+        };
+        match self.search(exec, budget, &run) {
+            Ok((outcome, _)) => outcome.into_run_outcome(),
             Err(error) => RunOutcome::Failed { error },
         }
-    }
-
-    fn run_inner(
-        &self,
-        exec: &ExecConfig,
-        budget: &Budget,
-        spec: Option<&CheckpointSpec>,
-    ) -> Result<RunOutcome, OptError> {
-        let start = Instant::now();
-        let netlist = self.problem.netlist();
-        let order = self.input_order();
-        let k = prefix_depth(exec.threads(), order.len());
-        let num_tasks = 1usize << k;
-
-        // Load and validate an existing checkpoint before spending any
-        // search effort.
-        let loaded = match spec {
-            Some(s) if s.resume => checkpoint::load(&s.path)?,
-            _ => None,
-        };
-        let (seed, recorded) = match loaded {
-            Some(cp) => {
-                self.validate_meta(&cp.meta, k, spec.expect("loaded implies a spec"))?;
-                // The seed skips Heuristic 1, so surface library errors
-                // here, once, on the caller's thread.
-                Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-                (cp.meta.seed, cp.tasks)
-            }
-            None => (self.heuristic1()?, BTreeMap::new()),
-        };
-        let _span = self.obs.span("core.run");
-
-        let resumed_tasks = recorded.len();
-        let writer = match spec {
-            Some(s) if s.resume && resumed_tasks > 0 => {
-                Some(CheckpointWriter::append(&s.path, self.fault)?)
-            }
-            Some(s) => Some(CheckpointWriter::create(
-                &s.path,
-                &self.meta(k, &seed),
-                self.fault,
-            )?),
-            None => None,
-        };
-
-        // The shared cross-worker incumbent starts from the seed and
-        // every recorded best — exactly the values an uninterrupted run
-        // would have published by the time those subtrees finished. The
-        // *task-local* seed stays the original Heuristic 1 leakage so
-        // each fresh subtree prunes exactly as it would have.
-        let base_leaves = seed.leaves_explored;
-        let seed_leak = seed.leakage.value();
-        let shared = SharedMinF64::new(seed_leak);
-        for rec in recorded.values() {
-            if let Some(sol) = &rec.solution {
-                shared.update_min(sol.leakage.value());
-            }
-        }
-        let delay_budget = self.budget();
-
-        let run = run_pool(
-            exec,
-            num_tasks,
-            budget,
-            self.obs,
-            self.fault,
-            |_worker| WorkerCtx {
-                sta: Sta::new(netlist, self.problem.library(), self.problem.timing())
-                    .expect("library already validated"),
-                tracker: BoundTracker::new(self.problem, self.mode),
-                vector: vec![false; netlist.num_inputs()],
-            },
-            |ctx, p, ws| {
-                if let Some(rec) = recorded.get(&p) {
-                    // Replay: the subtree was exhaustively explored in a
-                    // previous run. Its leaf count keeps totals honest.
-                    ws.leaves_evaluated += rec.leaves;
-                    return rec.solution.clone();
-                }
-                let before = ws.leaves_evaluated;
-                let sol = self.search_subtree(
-                    ctx,
-                    p,
-                    k,
-                    &order,
-                    budget,
-                    &shared,
-                    seed_leak,
-                    delay_budget,
-                    LeafKind::Greedy,
-                    ws,
-                );
-                // Record only subtrees the budget did not interrupt:
-                // `expired` is monotone, so not-expired here proves the
-                // DFS above ran to exhaustion.
-                if !budget.expired() {
-                    if let Some(w) = &writer {
-                        w.record_task(p, ws.leaves_evaluated - before, sol.as_ref());
-                    }
-                }
-                sol
-            },
-        );
-
-        let stats = run.stats;
-        self.obs.add("core.search.nodes", stats.nodes_expanded());
-        self.obs.add("core.search.leaves", stats.leaves_evaluated());
-        self.obs
-            .add("core.search.prunes_local", stats.prunes_local());
-        self.obs
-            .add("core.search.prunes_shared", stats.prunes_shared());
-        self.obs
-            .add("core.search.incumbent_updates", stats.incumbent_updates());
-        if resumed_tasks > 0 {
-            self.obs.add("core.run.tasks_resumed", resumed_tasks as u64);
-        }
-
-        let mut best = min_by_stable(Some(seed), run.results, |a, b| a.leakage < b.leakage)
-            .expect("seeded search always has an incumbent");
-        best.runtime = start.elapsed();
-        best.leaves_explored = base_leaves + stats.leaves_evaluated() as usize;
-
-        if let Some(error) = run.error {
-            return Ok(match error {
-                ExecError::WorkerPanic { worker, message } => RunOutcome::Degraded {
-                    reason: DegradeReason::WorkerLoss { worker, message },
-                    best,
-                    stats,
-                },
-                other => RunOutcome::Failed {
-                    error: OptError::Exec(other),
-                },
-            });
-        }
-        if !run.failures.is_empty() {
-            return Ok(RunOutcome::Degraded {
-                reason: DegradeReason::TasksFailed {
-                    failed: run.failures.len(),
-                    first: run.failures[0].message.clone(),
-                },
-                best,
-                stats,
-            });
-        }
-        if !stats.completed {
-            let reason = if budget.deadline_passed() {
-                DegradeReason::DeadlineExpired
-            } else {
-                DegradeReason::Cancelled
-            };
-            return Ok(RunOutcome::Degraded {
-                reason,
-                best,
-                stats,
-            });
-        }
-        Ok(RunOutcome::Complete {
-            solution: best,
-            stats,
-        })
-    }
-
-    /// The identity this run stamps into (and demands from) a checkpoint.
-    pub(crate) fn meta(&self, k: usize, seed: &Solution) -> CheckpointMeta {
-        let netlist = self.problem.netlist();
-        CheckpointMeta {
-            circuit: netlist.name().to_string(),
-            inputs: netlist.num_inputs(),
-            gates: netlist.num_gates(),
-            penalty_bits: self.penalty.fraction().to_bits(),
-            mode: self.mode,
-            k,
-            seed: seed.clone(),
-            engine: None,
-        }
-    }
-
-    /// Rejects a checkpoint recorded for a different problem or split.
-    pub(crate) fn validate_meta(
-        &self,
-        meta: &CheckpointMeta,
-        k: usize,
-        spec: &CheckpointSpec,
-    ) -> Result<(), OptError> {
-        let netlist = self.problem.netlist();
-        let at = spec.path.display();
-        if meta.circuit != netlist.name() {
-            return Err(OptError::Checkpoint(format!(
-                "{at}: recorded circuit \"{}\" does not match \"{}\"",
-                meta.circuit,
-                netlist.name()
-            )));
-        }
-        if meta.inputs != netlist.num_inputs() || meta.gates != netlist.num_gates() {
-            return Err(OptError::Checkpoint(format!(
-                "{at}: recorded size {}x{} does not match {}x{}",
-                meta.inputs,
-                meta.gates,
-                netlist.num_inputs(),
-                netlist.num_gates()
-            )));
-        }
-        if meta.penalty_bits != self.penalty.fraction().to_bits() {
-            return Err(OptError::Checkpoint(format!(
-                "{at}: recorded delay penalty {} does not match {}",
-                f64::from_bits(meta.penalty_bits),
-                self.penalty.fraction()
-            )));
-        }
-        if meta.mode != self.mode {
-            return Err(OptError::Checkpoint(format!(
-                "{at}: recorded mode {} does not match {}",
-                checkpoint::mode_name(meta.mode),
-                checkpoint::mode_name(self.mode)
-            )));
-        }
-        if meta.k != k {
-            return Err(OptError::Checkpoint(format!(
-                "{at}: recorded split depth {} does not match {k} — \
-                 resume with a thread count that maps to the same split",
-                meta.k
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -322,20 +98,27 @@ mod tests {
         ))
     }
 
+    /// The completed solution of a fault-free run.
+    fn reference(opt: &crate::Optimizer<'_>, exec: &ExecConfig) -> crate::Solution {
+        match opt.run(exec, None) {
+            RunOutcome::Complete { solution, .. } => solution,
+            other => panic!("fault-free run must complete, got {other}"),
+        }
+    }
+
     #[test]
-    fn fault_free_run_matches_heuristic2_parallel() {
+    fn fault_free_run_is_thread_count_invariant() {
         let (n, lib) = small();
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-        let exec = ExecConfig::with_threads(2);
-        let (reference, _) = opt.heuristic2_parallel(&exec).unwrap();
-        let outcome = opt.run(&exec, None);
+        let serial = reference(&opt, &ExecConfig::serial());
+        let outcome = opt.run(&ExecConfig::with_threads(2), None);
         let RunOutcome::Complete { solution, stats } = outcome else {
             panic!("fault-free run must complete, got {outcome}");
         };
         assert!(stats.completed);
-        assert!(solution.same_assignment(&reference));
-        assert_eq!(solution.leaves_explored, reference.leaves_explored);
+        assert!(solution.same_assignment(&serial));
+        assert!(solution.leaves_explored > 1, "the search ran past the seed");
     }
 
     #[test]
@@ -344,7 +127,7 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let exec = ExecConfig::with_threads(1);
-        let (reference, _) = opt.heuristic2_parallel(&exec).unwrap();
+        let reference = reference(&opt, &exec);
 
         let path = temp_path("kill-resume");
         let plan = FaultPlan::new(11).with_rule(Site::CoreLeaf, Trigger::Nth(5));
@@ -375,7 +158,7 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let exec = ExecConfig::with_threads(1);
-        let (reference, _) = opt.heuristic2_parallel(&exec).unwrap();
+        let reference = reference(&opt, &exec);
 
         // A pre-cancelled external token: the run must degrade with
         // `Cancelled` (not the deadline) and still write a checkpoint a

@@ -7,9 +7,9 @@
 //! * `{"type":"admit","id":N,"spec":{..}}` — the full spec, written
 //!   **before** the client sees its 202 (write-ahead: an acknowledged job
 //!   is a recorded job);
-//! * `{"type":"checkpoint","id":N,"path":"job-N.ckpt"}` — where the
-//!   run's search frontier persists (portfolio members add `.SLUG`
-//!   siblings);
+//! * `{"type":"checkpoint","id":N,"path":"job-N.ckpt"}` — the one
+//!   file where the run's search frontier persists, for single-strategy
+//!   and portfolio jobs alike;
 //! * `{"type":"state","id":N,"state":"running"}` — lifecycle
 //!   transitions;
 //! * `{"type":"done","id":N,"outcome":..,"solution":{..}}` — the
@@ -182,7 +182,7 @@ impl Journal {
     }
 
     /// Records a terminal outcome (fsynced), evicts the job from the
-    /// live table, deletes its checkpoint files, and compacts once
+    /// live table, deletes its checkpoint file, and compacts once
     /// enough dead records have accumulated.
     pub fn done(&self, id: u64, result: &JobResult) {
         let line = format!(
@@ -200,10 +200,10 @@ impl Journal {
             Ok(())
         });
         if recorded {
-            // Outside the append: checkpoint files of a terminal job are
+            // Outside the append: the checkpoint file of a terminal job is
             // garbage. Best-effort removal bounds the directory the same
             // way compaction bounds the journal.
-            remove_checkpoints(&self.dir, id);
+            remove_checkpoint(&self.dir, id);
             if compacted {
                 self.compact();
             }
@@ -309,20 +309,9 @@ pub fn checkpoint_name(id: u64) -> String {
     format!("job-{id}.ckpt")
 }
 
-/// Removes a job's checkpoint file and its portfolio-member siblings
-/// (`job-N.ckpt.SLUG`). Best-effort.
-fn remove_checkpoints(dir: &Path, id: u64) {
-    let base = checkpoint_name(id);
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name == base || name.starts_with(&format!("{base}.")) {
-            std::fs::remove_file(entry.path()).ok();
-        }
-    }
+/// Removes a job's checkpoint file. Best-effort.
+fn remove_checkpoint(dir: &Path, id: u64) {
+    std::fs::remove_file(dir.join(checkpoint_name(id))).ok();
 }
 
 fn append_flushed(file: &mut File, line: &str, fault: &Fault, what: &str) -> io::Result<()> {
@@ -574,11 +563,9 @@ mod tests {
         );
         journal.admit(3, &spec("c432"));
         std::fs::write(journal.checkpoint_path(3), "meta\n").unwrap();
-        std::fs::write(dir.join("job-3.ckpt.h1"), "meta\n").unwrap();
         std::fs::write(dir.join("job-30.ckpt"), "meta\n").unwrap();
         journal.done(3, &done_result("failed"));
         assert!(!journal.checkpoint_path(3).exists());
-        assert!(!dir.join("job-3.ckpt.h1").exists());
         assert!(dir.join("job-30.ckpt").exists(), "prefix is exact");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -31,8 +31,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use svtox_core::{
-    Budget, CancelToken, CheckpointSpec, DelayPenalty, ExecConfig, PortfolioConfig, Problem,
-    RetryPolicy, RunOutcome,
+    Budget, CancelToken, CheckpointSpec, DelayPenalty, ExecConfig, Plan, Problem, RetryPolicy,
+    RunOutcome,
 };
 use svtox_fault::{Fault, FaultPlan};
 use svtox_obs::{json, FieldValue, Obs};
@@ -851,12 +851,7 @@ fn execute(state: &Arc<ServerState>, job: &Arc<JobRecord>) -> JobResult {
     // `"mode":"portfolio"` races the strategy portfolio and reports the
     // winning member; the default path is the single-strategy engine.
     let (outcome, winner) = if spec.portfolio {
-        match optimizer.run_portfolio(
-            &exec,
-            &budget,
-            &PortfolioConfig::default(),
-            job.checkpoint.as_ref(),
-        ) {
+        match optimizer.run_portfolio(&exec, &budget, &Plan::default(), job.checkpoint.as_ref()) {
             Ok(p) => {
                 let winner = p.winner.slug().to_string();
                 (p.into_run_outcome(), Some(winner))
@@ -1264,6 +1259,80 @@ mod tests {
             handle.shutdown();
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A portfolio job keeps its whole frontier in the job's one
+    /// checkpoint file, so a crash mid-job resumes warm: the restarted
+    /// server finds the file (nothing counts as missing) and the job ends
+    /// with the uninterrupted run's bits.
+    #[test]
+    fn crashed_portfolio_jobs_resume_from_their_checkpoint_file() {
+        use svtox_netlist::generators::{random_dag, RandomDagSpec};
+        let bench = random_dag(&RandomDagSpec::new("serve-portfolio", 6, 3, 20, 4))
+            .expect("spec is valid")
+            .to_bench();
+        let mut body = json::parse(&bench_job_body(&bench, 1)).unwrap();
+        if let json::Value::Obj(fields) = &mut body {
+            fields.insert("mode".to_string(), json::Value::Str("portfolio".into()));
+        }
+        let body = body.to_string();
+        let reference = {
+            let handle = start(test_config()).unwrap();
+            let addr = handle.addr().to_string();
+            let doc = wait_done(&addr, submit(&addr, &body));
+            handle.shutdown();
+            doc
+        };
+        assert_eq!(
+            reference.get("outcome").and_then(|v| v.as_str()),
+            Some("complete"),
+            "{reference}"
+        );
+
+        let dir = scratch_dir("crash-portfolio");
+        let durable = || ServerConfig {
+            runners: 1,
+            journal: Some(dir.clone()),
+            ..test_config()
+        };
+        let handle = start(durable()).unwrap();
+        let addr = handle.addr().to_string();
+        let id = submit(&addr, &body);
+        // Crash mid-job, once the run has written its checkpoint's meta
+        // line. The job runs for seconds, so the bounded wait also ends
+        // with the job running where no such file ever appears.
+        let ckpt = dir.join(crate::journal::checkpoint_name(id));
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while !ckpt.exists() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.crash();
+
+        let handle = start(durable()).unwrap();
+        let addr = handle.addr().to_string();
+        let doc = wait_done(&addr, id);
+        for field in [
+            "outcome",
+            "winner",
+            "vector",
+            "choices",
+            "leakage_bits",
+            "delay_bits",
+        ] {
+            assert_eq!(
+                doc.get(field).and_then(|v| v.as_str()),
+                reference.get(field).and_then(|v| v.as_str()),
+                "field={field}"
+            );
+        }
+        let metrics = get(&addr, "/metrics").body;
+        assert!(metrics.contains("serve.journal.resumed_jobs"), "{metrics}");
+        assert!(
+            !metrics.contains("serve.journal.checkpoint_missing"),
+            "{metrics}"
+        );
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A journaled restart whose checkpoints were wiped must restart the

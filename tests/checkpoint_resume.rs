@@ -123,15 +123,22 @@ fn serial_resume_preserves_the_leaf_count() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A checkpoint written at one thread count resumes correctly at the
-/// same count; a different count maps to a different prefix split and is
-/// rejected as a typed error rather than silently mixing task spaces.
+/// The unit split does not depend on the thread count, so a checkpoint
+/// written by a serial run resumes at 4 threads to the bit-identical
+/// uninterrupted solution.
 #[test]
-fn resume_with_a_different_thread_count_is_a_typed_error() {
+fn a_checkpoint_resumes_at_any_thread_count() {
     let (n, lib) = circuit("ckpt-threads", 6, 24, 5);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-    let path = scratch("thread-mismatch");
+    let RunOutcome::Complete {
+        solution: reference,
+        ..
+    } = opt.run(&ExecConfig::serial(), None)
+    else {
+        panic!("uninterrupted run did not complete")
+    };
+    let path = scratch("thread-change");
 
     let plan = FaultPlan::new(3).with_rule(Site::CoreLeaf, Trigger::Nth(3));
     let fault = Fault::new(&plan);
@@ -144,17 +151,59 @@ fn resume_with_a_different_thread_count_is_a_typed_error() {
         killed.status()
     );
 
-    // 4 threads → a deeper prefix split → a different task space.
     let outcome = opt.run(
         &ExecConfig::with_threads(4),
         Some(&CheckpointSpec::resume(&path)),
     );
+    let RunOutcome::Complete { solution, .. } = outcome else {
+        panic!(
+            "resume at 4 threads must complete, got {}",
+            outcome.status()
+        )
+    };
+    assert!(solution.same_assignment(&reference));
+    assert_eq!(
+        solution.leakage.value().to_bits(),
+        reference.leakage.value().to_bits()
+    );
+    assert_eq!(
+        solution.delay.value().to_bits(),
+        reference.delay.value().to_bits()
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A file of the older single-strategy format (no member slugs, a
+/// thread-derived split depth) is a typed failure on resume — never a
+/// panic, never a silent replay.
+#[test]
+fn an_old_format_checkpoint_is_a_typed_failure() {
+    let (n, lib) = circuit("ckpt-old", 6, 24, 5);
+    let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+    let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
+    let path = scratch("old-format");
+    std::fs::write(
+        &path,
+        format!(
+            "{{\"type\":\"meta\",\"version\":1,\"circuit\":\"{}\",\"inputs\":{},\
+             \"gates\":{},\"penalty\":\"{:016x}\",\"mode\":\"proposed\",\"k\":3,\
+             \"seed\":{{\"vector\":\"000000\",\"choices\":[],\"leakage\":\"0\",\
+             \"delay\":\"0\",\"leaves\":1}}}}\n\
+             {{\"type\":\"task\",\"index\":0,\"leaves\":4,\"solution\":null}}\n",
+            n.name(),
+            n.num_inputs(),
+            n.num_gates(),
+            0.05f64.to_bits()
+        ),
+    )
+    .unwrap();
+    let outcome = opt.run(&ExecConfig::serial(), Some(&CheckpointSpec::resume(&path)));
     let RunOutcome::Failed { error } = outcome else {
-        panic!("mismatched split must fail, got {}", outcome.status())
+        panic!("an old-format file must fail, got {}", outcome.status())
     };
     assert!(
-        error.to_string().contains("thread count"),
-        "unhelpful error: {error}"
+        error.to_string().contains("older checkpoint format"),
+        "{error}"
     );
     std::fs::remove_file(&path).ok();
 }

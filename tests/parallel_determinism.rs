@@ -1,15 +1,19 @@
-//! Cross-thread determinism of the parallel searches.
+//! Cross-thread determinism of the search engine.
 //!
 //! The engine's contract is that parallelism is *invisible* in the answer:
-//! for any worker count, the parallel optimizer returns the same vector,
-//! the same per-gate choices, and bit-identical leakage/delay as the
-//! serial search. These tests pin that contract on small circuits where
-//! the serial searches exhaust their trees.
+//! for any worker count, a plan returns the same vector, the same per-gate
+//! choices, and bit-identical leakage/delay as the serial reference search
+//! (`svtox_check::reference`). These tests pin that contract on small
+//! circuits where the serial searches exhaust their trees.
 
 use std::time::Duration;
 
 use svtox_check::domain::circuit;
-use svtox_core::{DelayPenalty, ExecConfig, Mode, Problem};
+use svtox_check::reference;
+use svtox_core::{
+    BranchOrder, Budget, DelayPenalty, ExecConfig, Mode, Plan, Problem, RunOutcome, Solution,
+    Strategy,
+};
 use svtox_sta::TimingConfig;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -18,11 +22,16 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 fn exact_parallel_matches_serial_for_all_thread_counts() {
     let (n, lib) = circuit("pd-exact", 5, 14, 4);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
-    let opt = problem.optimizer(DelayPenalty::new(0.10).unwrap(), Mode::Proposed);
-    let serial = opt.exact(8).unwrap();
+    let penalty = DelayPenalty::new(0.10).unwrap();
+    let opt = problem.optimizer(penalty, Mode::Proposed);
+    let serial = reference::exact(&problem, penalty, Mode::Proposed, 8).unwrap();
+    let plan = Plan::single(Strategy::Exact(BranchOrder::default()));
     for threads in THREAD_COUNTS {
         let exec = ExecConfig::with_threads(threads);
-        let (sol, stats) = opt.exact_parallel(8, &exec).unwrap();
+        let outcome = opt
+            .run_portfolio(&exec, &Budget::unlimited(), &plan, None)
+            .unwrap();
+        let (sol, stats) = (outcome.best, outcome.stats);
         assert_eq!(sol.vector, serial.vector, "threads={threads}");
         assert_eq!(sol.choices, serial.choices, "threads={threads}");
         assert_eq!(sol.leakage, serial.leakage, "threads={threads}");
@@ -39,10 +48,16 @@ fn heuristic2_parallel_matches_exhausted_serial_for_all_thread_counts() {
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
     // 8 inputs = 256 leaves: a generous serial budget exhausts the tree.
-    let serial = opt.heuristic2(Duration::from_secs(120)).unwrap();
+    let serial = reference::heuristic2(
+        &problem,
+        DelayPenalty::five_percent(),
+        Mode::Proposed,
+        Duration::from_secs(120),
+    )
+    .unwrap();
     for threads in THREAD_COUNTS {
         let exec = ExecConfig::with_threads(threads);
-        let (sol, _stats) = opt.heuristic2_parallel(&exec).unwrap();
+        let sol = complete(opt.run(&exec, None));
         assert_eq!(sol.vector, serial.vector, "threads={threads}");
         assert_eq!(sol.choices, serial.choices, "threads={threads}");
         assert_eq!(sol.leakage, serial.leakage, "threads={threads}");
@@ -58,14 +73,11 @@ fn heuristic2_parallel_is_exec_config_invariant() {
     let (n, lib) = circuit("pd-cfg", 7, 30, 5);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::new(0.25).unwrap(), Mode::Proposed);
-    let (unbudgeted, _) = opt
-        .heuristic2_parallel(&ExecConfig::with_threads(3))
-        .unwrap();
-    let (budgeted, _) = opt
-        .heuristic2_parallel(
-            &ExecConfig::with_threads(5).with_time_budget(Duration::from_secs(600)),
-        )
-        .unwrap();
+    let unbudgeted = complete(opt.run(&ExecConfig::with_threads(3), None));
+    let budgeted = complete(opt.run(
+        &ExecConfig::with_threads(5).with_time_budget(Duration::from_secs(600)),
+        None,
+    ));
     assert_eq!(unbudgeted.vector, budgeted.vector);
     assert_eq!(unbudgeted.choices, budgeted.choices);
     assert_eq!(unbudgeted.leakage, budgeted.leakage);
@@ -78,7 +90,12 @@ fn zero_budget_cancels_promptly_and_returns_the_incumbent() {
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
     let h1 = opt.heuristic1().unwrap();
     let exec = ExecConfig::with_threads(4).with_time_budget(Duration::ZERO);
-    let (sol, stats) = opt.heuristic2_parallel(&exec).unwrap();
+    let RunOutcome::Degraded {
+        best: sol, stats, ..
+    } = opt.run(&exec, None)
+    else {
+        panic!("a zero budget degrades the run");
+    };
     // The budget expired before any improvement pass could run, so the
     // Heuristic 1 incumbent comes back unchanged — no panic, no hang.
     assert_eq!(sol.vector, h1.vector);
@@ -93,10 +110,16 @@ fn exact_parallel_rejects_wide_circuits_and_ignores_budgets() {
     let (n, lib) = circuit("pd-wide", 6, 12, 4);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-    assert!(opt.exact_parallel(4, &ExecConfig::with_threads(2)).is_err());
-    // Exact ignores wall-clock budgets: a zero budget still completes.
-    let exec = ExecConfig::with_threads(2).with_time_budget(Duration::ZERO);
-    let (sol, stats) = opt.exact_parallel(8, &exec).unwrap();
-    assert!(stats.completed);
+    assert!(opt.exact(4).is_err());
+    // Exact takes no budget at all: it always runs to completion.
+    let sol = opt.exact(8).unwrap();
     sol.verify(&problem).unwrap();
+}
+
+/// The solution of a run that must complete.
+fn complete(outcome: RunOutcome) -> Solution {
+    match outcome {
+        RunOutcome::Complete { solution, .. } => solution,
+        other => panic!("an unbudgeted run completes, got {}", other.status()),
+    }
 }
