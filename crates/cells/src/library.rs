@@ -12,7 +12,8 @@ use std::fmt;
 
 use svtox_netlist::GateKind;
 use svtox_tech::{
-    Capacitance, Current, DelayKernel, DriveStrength, Resistance, SlewLoadGrid, Technology,
+    AxisSegment, Capacitance, Current, DelayKernel, DriveStrength, Resistance, SlewLoadGrid,
+    Technology, Time,
 };
 
 use crate::error::LibraryError;
@@ -157,6 +158,12 @@ pub struct CellData {
     arcs: Vec<Vec<ArcTables>>,
     /// `[version][physical pin]`.
     input_caps: Vec<Vec<Capacitance>>,
+    /// The distinct rise tables over every version × pin, first-seen order.
+    rise_tables: Vec<SlewLoadGrid>,
+    /// The distinct fall tables over every version × pin, first-seen order.
+    fall_tables: Vec<SlewLoadGrid>,
+    /// The smallest input capacitance over every version × pin.
+    min_input_cap: Capacitance,
 }
 
 impl CellData {
@@ -300,6 +307,40 @@ impl CellData {
         self.input_cap_physical(option.version(), option.physical_pin(logical_pin))
     }
 
+    /// The distinct output-rise tables among every version × physical pin
+    /// (equal tables listed once). A minimum over arcs' rise lookups is a
+    /// minimum over these.
+    #[must_use]
+    pub fn rise_tables(&self) -> &[SlewLoadGrid] {
+        &self.rise_tables
+    }
+
+    /// The distinct output-fall tables among every version × physical pin.
+    #[must_use]
+    pub fn fall_tables(&self) -> &[SlewLoadGrid] {
+        &self.fall_tables
+    }
+
+    /// The smallest input capacitance any version × physical pin presents.
+    #[must_use]
+    pub fn min_input_cap(&self) -> Capacitance {
+        self.min_input_cap
+    }
+
+    /// Locates an input slew on the slew axis every arc table of this cell
+    /// shares (checked at construction).
+    #[must_use]
+    pub fn slew_segment(&self, input_slew: Time) -> AxisSegment {
+        self.rise_tables[0].slew_segment(input_slew)
+    }
+
+    /// Locates an output load on the load axis every arc table of this cell
+    /// shares.
+    #[must_use]
+    pub fn load_segment(&self, load: Capacitance) -> AxisSegment {
+        self.rise_tables[0].load_segment(load)
+    }
+
     fn build(
         tech: &Technology,
         kernel: &DelayKernel,
@@ -354,6 +395,25 @@ impl CellData {
             input_caps.push(pin_caps);
         }
 
+        let mut rise_tables: Vec<SlewLoadGrid> = Vec::new();
+        let mut fall_tables: Vec<SlewLoadGrid> = Vec::new();
+        for arc in arcs.iter().flatten() {
+            assert!(
+                arc.rise.same_axes(&arcs[0][0].rise) && arc.fall.same_axes(&arcs[0][0].rise),
+                "every arc table of a cell shares its slew and load axes"
+            );
+            if !rise_tables.contains(&arc.rise) {
+                rise_tables.push(arc.rise.clone());
+            }
+            if !fall_tables.contains(&arc.fall) {
+                fall_tables.push(arc.fall.clone());
+            }
+        }
+        let min_input_cap = input_caps
+            .iter()
+            .flatten()
+            .fold(Capacitance::new(f64::INFINITY), |min, &cap| min.min(cap));
+
         Ok(Self {
             kind,
             topo,
@@ -363,6 +423,9 @@ impl CellData {
             version_breakdown,
             arcs,
             input_caps,
+            rise_tables,
+            fall_tables,
+            min_input_cap,
         })
     }
 }
@@ -680,6 +743,42 @@ mod tests {
         assert!(lib.cell(GateKind::Nand(4)).is_ok());
         assert!(lib.cell(GateKind::Nor(4)).is_ok());
         assert_eq!(lib.cells().count(), 7);
+    }
+
+    #[test]
+    fn distinct_tables_cover_every_arc_once() {
+        let lib = library();
+        for cell in lib.cells() {
+            let mut min_cap = f64::INFINITY;
+            for v in cell.version_ids() {
+                for p in 0..cell.arity() {
+                    let arc = cell.arc_physical(v, p);
+                    assert!(cell.rise_tables().contains(&arc.rise));
+                    assert!(cell.fall_tables().contains(&arc.fall));
+                    min_cap = min_cap.min(cell.input_cap_physical(v, p).value());
+                }
+            }
+            for tables in [cell.rise_tables(), cell.fall_tables()] {
+                for (i, t) in tables.iter().enumerate() {
+                    assert!(
+                        !tables[..i].contains(t),
+                        "{:?} lists a table twice",
+                        cell.kind()
+                    );
+                }
+            }
+            assert_eq!(cell.min_input_cap().value().to_bits(), min_cap.to_bits());
+            // Far fewer tables than arc lookups (two per arc): what makes
+            // the relaxed floor cheap.
+            let arcs = cell.num_versions() * cell.arity();
+            assert!(
+                cell.rise_tables().len() + cell.fall_tables().len() < 2 * arcs,
+                "{:?}: {} + {} tables for {arcs} arcs",
+                cell.kind(),
+                cell.rise_tables().len(),
+                cell.fall_tables().len()
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use svtox_cells::{Library, LibraryOptions};
 use svtox_core::{
     CheckpointSpec, DegradeReason, DelayPenalty, ExecConfig, Mode, Problem, RetryPolicy, RunOutcome,
 };
-use svtox_fault::{Fault, FaultPlan, Site, Trigger};
+use svtox_fault::{silence_injected_panics, Fault, FaultPlan, Site, Trigger};
 use svtox_sta::TimingConfig;
 use svtox_tech::Technology;
 
@@ -111,29 +111,6 @@ pub fn run_chaos(args: &ChaosArgs) -> Result<String, CliError> {
     } else {
         Ok(out)
     }
-}
-
-static QUIET_HOOK: std::sync::Once = std::sync::Once::new();
-
-/// Installs (once, process-wide) a panic hook that swallows injected-fault
-/// panics — they are the scenarios' working fluid, not noise worth a
-/// backtrace on stderr — and delegates every other panic to the previous
-/// hook unchanged.
-fn silence_injected_panics() {
-    QUIET_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(Fault::is_injected_panic);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
 }
 
 fn run_scenario(name: &str, args: &ChaosArgs) -> Result<String, String> {

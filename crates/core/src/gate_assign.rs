@@ -12,7 +12,7 @@
 use svtox_cells::InputState;
 use svtox_netlist::GateId;
 use svtox_sim::{PackedSimulator, PackedVec};
-use svtox_sta::{GateConfig, Sta};
+use svtox_sta::Sta;
 use svtox_tech::{Current, Time};
 
 use crate::problem::{GateOrder, Mode, Problem};
@@ -54,12 +54,21 @@ fn gate_visit_order(
     match order {
         GateOrder::Topological => gates = netlist.topo_order().to_vec(),
         GateOrder::SavingsDescending => {
-            let saving = |gid: &GateId| -> f64 {
-                let kind = netlist.gate(*gid).kind();
-                let s = states[gid.index()];
-                problem.fast_leak(kind, s).value() - problem.min_leak(kind, s, mode).value()
-            };
-            gates.sort_by(|a, b| saving(b).partial_cmp(&saving(a)).expect("finite leakages"));
+            // Each saving once, by gate index; the stable sort keeps ties in
+            // gate order.
+            let saving: Vec<f64> = netlist
+                .gates()
+                .map(|(gid, gate)| {
+                    let s = states[gid.index()];
+                    problem.fast_leak(gate.kind(), s).value()
+                        - problem.min_leak(gate.kind(), s, mode).value()
+                })
+                .collect();
+            gates.sort_by(|a, b| {
+                saving[b.index()]
+                    .partial_cmp(&saving[a.index()])
+                    .expect("finite leakages")
+            });
         }
     }
     gates
@@ -67,7 +76,8 @@ fn gate_visit_order(
 
 /// Greedy single traversal of the gate tree (the heuristics' leaf
 /// evaluation). `sta` must arrive in the all-fast configuration and is
-/// returned to it before the function exits.
+/// returned to it before the function exits. Options are written into the
+/// analyzer in place, so a trial allocates nothing.
 pub(crate) fn greedy_assign(
     problem: &Problem<'_>,
     states: &[InputState],
@@ -90,39 +100,34 @@ pub(crate) fn greedy_assign(
     let budget_eps = budget + Time::new(1e-9 * (1.0 + budget.value()));
     let visit = gate_visit_order(problem, states, mode, order);
     let mut touched: Vec<GateId> = Vec::with_capacity(visit.len());
+    let mut prev_perm: Vec<u8> = Vec::new();
     for gid in visit {
         let kind = netlist.gate(gid).kind();
         let state = states[gid.index()];
         let fast_idx = problem.fast_index(kind, state);
-        let prev = sta.gate_config(gid).clone();
+        let prev = sta.gate_config(gid);
+        let prev_version = prev.version;
+        prev_perm.clone_from(&prev.perm);
         for &idx in problem.allowed(kind, state, mode) {
             if idx == fast_idx {
                 // The fast option is always feasible; keep the default.
                 break;
             }
             let opt = problem.option(kind, state, idx);
-            sta.set_gate(gid, GateConfig::from(opt));
+            sta.set_option(gid, opt.version(), opt.perm());
             if sta.max_delay() <= budget_eps {
                 leakage += opt.leakage() - problem.fast_leak(kind, state);
                 choices[gid.index()] = idx;
                 touched.push(gid);
                 break;
             }
-            sta.set_gate(gid, prev.clone());
+            sta.set_option(gid, prev_version, &prev_perm);
         }
     }
     let delay = sta.max_delay();
     // Restore the analyzer for the next leaf.
     for gid in touched {
-        let gate = netlist.gate(gid);
-        let cell = problem
-            .library()
-            .cell(gate.kind())
-            .expect("validated kinds");
-        sta.set_gate(
-            gid,
-            GateConfig::identity(cell.fast_version(), gate.kind().arity()),
-        );
+        sta.set_fast(gid);
     }
     GateAssignment {
         choices,
@@ -168,17 +173,12 @@ pub(crate) fn exact_assign(
 
     struct Frame {
         depth: usize,
-        /// Options not yet tried at this depth.
-        remaining: Vec<u8>,
+        /// Position in `allowed(..)` of the next option to try at this
+        /// depth (ascending leakage, so the best is tried first).
+        next: usize,
         /// Leakage accumulated above this depth.
         partial: f64,
     }
-
-    let fast_cfg = |gid: GateId| {
-        let gate = netlist.gate(gid);
-        let cell = problem.library().cell(gate.kind()).expect("validated");
-        GateConfig::identity(cell.fast_version(), gate.kind().arity())
-    };
 
     let mut best_choices = best.choices.clone();
     let mut best_leak = best.leakage.value();
@@ -198,7 +198,7 @@ pub(crate) fn exact_assign(
 
     let mut stack = vec![Frame {
         depth: 0,
-        remaining: option_list(problem, netlist, &visit, states, mode, 0),
+        next: 0,
         partial: 0.0,
     }];
     while let Some(frame) = stack.last_mut() {
@@ -220,7 +220,7 @@ pub(crate) fn exact_assign(
         let gid = visit[depth];
         let kind = netlist.gate(gid).kind();
         let state = states[gid.index()];
-        let Some(idx) = frame.remaining.pop() else {
+        let Some(&idx) = problem.allowed(kind, state, mode).get(frame.next) else {
             // Exhausted this level; undo and backtrack.
             stack.pop();
             if let Some(parent) = stack.last() {
@@ -228,66 +228,45 @@ pub(crate) fn exact_assign(
             }
             continue;
         };
+        frame.next += 1;
         let opt = problem.option(kind, state, idx);
         let leak = opt.leakage().value();
         let partial = frame.partial + leak;
         if partial + suffix_min[depth + 1] >= best_leak {
             continue; // prune this option (others may still fit)
         }
-        sta.set_gate(gid, GateConfig::from(opt));
+        sta.set_option(gid, opt.version(), opt.perm());
         sta.set_relaxed(gid, false);
         if sta.max_delay() > budget_eps {
             sta.set_relaxed(gid, true);
             continue;
         }
         current[gid.index()] = idx;
-        let next_remaining = if depth + 1 < n {
-            option_list(problem, netlist, &visit, states, mode, depth + 1)
-        } else {
-            Vec::new()
-        };
         stack.push(Frame {
             depth: depth + 1,
-            remaining: next_remaining,
+            next: 0,
             partial,
         });
     }
     // Clear relaxation and restore all-fast.
     for &gid in &visit {
         sta.set_relaxed(gid, false);
-        sta.set_gate(gid, fast_cfg(gid));
+        sta.set_fast(gid);
     }
 
     // Recompute the delay of the winning assignment.
     for (gid, gate) in netlist.gates() {
         let opt = problem.option(gate.kind(), states[gid.index()], best_choices[gid.index()]);
-        sta.set_gate(gid, GateConfig::from(opt));
+        sta.set_option(gid, opt.version(), opt.perm());
     }
     let delay = sta.max_delay();
     for &gid in &visit {
-        sta.set_gate(gid, fast_cfg(gid));
+        sta.set_fast(gid);
     }
     best.choices = best_choices;
     best.leakage = Current::new(best_leak);
     best.delay = delay;
     best
-}
-
-/// The options of the gate at `visit[depth]`, in the order the DFS should
-/// *pop* them (worst first, so the best is tried first).
-fn option_list(
-    problem: &Problem<'_>,
-    netlist: &svtox_netlist::Netlist,
-    visit: &[GateId],
-    states: &[InputState],
-    mode: Mode,
-    depth: usize,
-) -> Vec<u8> {
-    let gid = visit[depth];
-    let kind = netlist.gate(gid).kind();
-    let mut v: Vec<u8> = problem.allowed(kind, states[gid.index()], mode).to_vec();
-    v.reverse();
-    v
 }
 
 #[cfg(test)]
@@ -296,7 +275,7 @@ mod tests {
     use svtox_cells::{Library, LibraryOptions};
     use svtox_netlist::generators::{random_dag, RandomDagSpec};
     use svtox_netlist::Netlist;
-    use svtox_sta::TimingConfig;
+    use svtox_sta::{GateConfig, TimingConfig};
     use svtox_tech::Technology;
 
     fn setup(gates: usize) -> (Netlist, Library) {

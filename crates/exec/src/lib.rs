@@ -14,9 +14,6 @@
 //! * [`SharedMinF64`] — the incumbent bound of a parallel branch and
 //!   bound, `f64` bits in an `AtomicU64`, so workers prune against each
 //!   other's best solution as soon as it is found.
-//! * [`min_by_stable`] — the deterministic reduction combinator: strict
-//!   improvement with earliest-index tie-breaking, making parallel results
-//!   bit-identical to the serial ones.
 //! * [`SearchStats`] / [`WorkerStats`] — per-worker instrumentation
 //!   (nodes expanded, prunes by bound type, steals, idle time).
 //! * [`rng`] — seeded `SplitMix64` / `xoshiro256++` generators with
@@ -38,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use svtox_exec::{map_tasks, min_by_stable, Budget, ExecConfig};
+//! use svtox_exec::{map_tasks, Budget, ExecConfig};
 //! use svtox_obs::Obs;
 //!
 //! let config = ExecConfig::with_threads(4);
@@ -51,8 +48,8 @@
 //!     |(), i, _stats| Some((i as i64 - 20).pow(2)),
 //! )
 //! .unwrap();
-//! let min = min_by_stable(None, squares, |a, b| a < b).unwrap();
-//! assert_eq!(min, 0);
+//! // Results come back in task order, whatever the scheduling.
+//! assert_eq!(squares[20], Some(0));
 //! assert_eq!(stats.tasks_executed(), 32);
 //! ```
 
@@ -63,7 +60,6 @@ mod budget;
 mod error;
 mod pool;
 mod queue;
-mod reduce;
 pub mod rng;
 mod shared;
 mod stats;
@@ -72,6 +68,5 @@ pub use budget::{Budget, CancelToken};
 pub use error::ExecError;
 pub use pool::{map_tasks, run_pool, ExecConfig, PoolRun, RetryPolicy, TaskFailure};
 pub use queue::{Chunk, TaskQueue};
-pub use reduce::min_by_stable;
 pub use shared::SharedMinF64;
 pub use stats::{SearchStats, WorkerStats};

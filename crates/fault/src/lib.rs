@@ -33,7 +33,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 
 mod rng;
 
@@ -466,6 +466,29 @@ impl Fault {
     }
 }
 
+static QUIET_HOOK: Once = Once::new();
+
+/// Installs (once, process-wide) a panic hook that swallows the panics
+/// [`Fault::inject_panic`] raises — where faults are injected on purpose
+/// they are working fluid, not a crash worth a backtrace on stderr — and
+/// hands every other panic to the previous hook unchanged.
+pub fn silence_injected_panics() {
+    QUIET_HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| info.payload().downcast_ref::<&str>().copied())
+                .is_some_and(Fault::is_injected_panic);
+            if !injected {
+                prev(info);
+            }
+        }));
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,6 +610,42 @@ mod tests {
             .clone();
         assert!(Fault::is_injected_panic(&message), "payload: {message}");
         assert!(message.contains("exec.dispatch"));
+    }
+
+    #[test]
+    fn the_quiet_hook_passes_only_real_panics_on() {
+        // Record what reaches the previous hook, then keep the default
+        // output for every other test of this binary.
+        static SEEN: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let message = info
+                .payload()
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| {
+                    info.payload()
+                        .downcast_ref::<&str>()
+                        .map(|m| (*m).to_string())
+                })
+                .unwrap_or_default();
+            SEEN.lock().unwrap_or_else(|e| e.into_inner()).push(message);
+            default(info);
+        }));
+        silence_injected_panics();
+        silence_injected_panics();
+        let fault = Fault::new(&FaultPlan::new(1).with_rule(Site::ExecPop, Trigger::Nth(1)));
+        assert!(std::panic::catch_unwind(|| fault.inject_panic(Site::ExecPop)).is_err());
+        assert!(std::panic::catch_unwind(|| panic!("a real quiet-hook probe")).is_err());
+        let seen = SEEN.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        assert!(
+            seen.iter().any(|m| m == "a real quiet-hook probe"),
+            "{seen:?}"
+        );
+        assert!(
+            !seen.iter().any(|m| Fault::is_injected_panic(m)),
+            "{seen:?}"
+        );
     }
 
     #[test]

@@ -164,6 +164,8 @@ pub struct Sta<'a> {
     loads: Vec<Capacitance>,
     queued: Vec<bool>,
     dirty: Vec<GateId>,
+    /// The flush queue, kept between flushes so a trial allocates nothing.
+    queue: BinaryHeap<Reverse<(u32, GateId)>>,
     counters: StaCounters,
 }
 
@@ -199,6 +201,7 @@ impl<'a> Sta<'a> {
             loads: vec![Capacitance::ZERO; netlist.num_nets()],
             queued: vec![false; netlist.num_gates()],
             dirty: Vec::new(),
+            queue: BinaryHeap::new(),
             counters: StaCounters::default(),
         };
         sta.full_analyze();
@@ -282,6 +285,7 @@ impl<'a> Sta<'a> {
             loads: vec![Capacitance::ZERO; netlist.num_nets()],
             queued: vec![false; netlist.num_gates()],
             dirty: Vec::new(),
+            queue: BinaryHeap::new(),
             counters: StaCounters::default(),
         };
         for (nid, _) in netlist.nets() {
@@ -345,26 +349,41 @@ impl<'a> Sta<'a> {
     ///
     /// Panics if the id is out of range or the permutation arity mismatches.
     pub fn set_gate(&mut self, gate: GateId, config: GateConfig) {
+        self.set_option(gate, config.version, &config.perm);
+    }
+
+    /// Reconfigures one gate to a version and pin permutation (`perm[i]` =
+    /// logical pin routed to physical pin `i`), written in place: what
+    /// [`Sta::set_gate`] does without building a [`GateConfig`]. The timing
+    /// update is deferred to the next query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or the permutation arity mismatches.
+    pub fn set_option(&mut self, gate: GateId, version: VersionId, perm: &[u8]) {
         assert_eq!(
-            config.perm.len(),
+            perm.len(),
             self.netlist.gate(gate).kind().arity(),
             "perm arity mismatch"
         );
-        if self.gate_configs[gate.index()] == config {
+        let cfg = &mut self.gate_configs[gate.index()];
+        if cfg.version == version && cfg.perm == perm {
             return;
         }
-        self.gate_configs[gate.index()] = config;
-        // The gate's own delay changed, and its input caps changed the
-        // loads of its fanin nets, perturbing the fanin *drivers* too.
-        self.mark_dirty(gate);
-        let fanins: Vec<NetId> = self.netlist.gate(gate).inputs().to_vec();
-        for net in fanins {
-            self.refresh_load(net);
-            if let Some(driver) = self.netlist.net(net).driver() {
-                self.mark_dirty(driver);
-            }
-        }
-        self.refresh_load(self.netlist.gate(gate).output());
+        cfg.version = version;
+        cfg.perm.copy_from_slice(perm);
+        self.reconfigured(gate);
+    }
+
+    /// Returns one gate to its fast version with identity routing, in
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn set_fast(&mut self, gate: GateId) {
+        let version = self.cells[gate.index()].fast_version();
+        self.set_identity(gate, version);
     }
 
     /// Marks a gate *relaxed*: its timing is evaluated as a floor — for
@@ -388,15 +407,7 @@ impl<'a> Sta<'a> {
             return;
         }
         self.relaxed[gate.index()] = relaxed;
-        self.mark_dirty(gate);
-        let fanins: Vec<NetId> = self.netlist.gate(gate).inputs().to_vec();
-        for net in fanins {
-            self.refresh_load(net);
-            if let Some(driver) = self.netlist.net(net).driver() {
-                self.mark_dirty(driver);
-            }
-        }
-        self.refresh_load(self.netlist.gate(gate).output());
+        self.reconfigured(gate);
     }
 
     /// Whether a gate is currently relaxed.
@@ -411,18 +422,17 @@ impl<'a> Sta<'a> {
 
     /// Sets every gate to its fast version with identity routing.
     pub fn set_all_fast(&mut self) {
-        for (gid, gate) in self.netlist.gates() {
-            let v = self.cells[gid.index()].fast_version();
-            self.set_gate(gid, GateConfig::identity(v, gate.kind().arity()));
+        for (gid, _) in self.netlist.gates() {
+            self.set_fast(gid);
         }
     }
 
     /// Sets every gate to the synthetic all-slow version (the paper's
     /// delay-penalty normalization reference).
     pub fn set_all_slow(&mut self) {
-        for (gid, gate) in self.netlist.gates() {
+        for (gid, _) in self.netlist.gates() {
             let v = self.cells[gid.index()].all_slow_version();
-            self.set_gate(gid, GateConfig::identity(v, gate.kind().arity()));
+            self.set_identity(gid, v);
         }
     }
 
@@ -526,6 +536,34 @@ impl<'a> Sta<'a> {
         self.full_analyze();
     }
 
+    /// Identity-routed `version`, written in place.
+    fn set_identity(&mut self, gate: GateId, version: VersionId) {
+        let cfg = &mut self.gate_configs[gate.index()];
+        let identity = cfg.perm.iter().enumerate().all(|(i, &p)| p as usize == i);
+        if cfg.version == version && identity {
+            return;
+        }
+        cfg.version = version;
+        for (i, p) in cfg.perm.iter_mut().enumerate() {
+            *p = i as u8;
+        }
+        self.reconfigured(gate);
+    }
+
+    /// Schedules the re-evaluation a configuration or relaxation change
+    /// needs: the gate's own delay changed, and its input caps changed the
+    /// loads of its fanin nets, perturbing the fanin *drivers* too.
+    fn reconfigured(&mut self, gate: GateId) {
+        self.mark_dirty(gate);
+        let netlist = self.netlist;
+        for &net in netlist.gate(gate).inputs() {
+            self.refresh_load(net);
+            if let Some(driver) = netlist.net(net).driver() {
+                self.mark_dirty(driver);
+            }
+        }
+    }
+
     fn mark_dirty(&mut self, gate: GateId) {
         if !self.queued[gate.index()] {
             self.queued[gate.index()] = true;
@@ -540,25 +578,31 @@ impl<'a> Sta<'a> {
         }
         self.counters.flushes += 1;
         self.counters.max_dirty = self.counters.max_dirty.max(self.dirty.len() as u64);
-        let mut heap: BinaryHeap<Reverse<(u32, GateId)>> = BinaryHeap::new();
-        for gid in std::mem::take(&mut self.dirty) {
-            heap.push(Reverse((self.netlist.level(gid), gid)));
-        }
-        while let Some(Reverse((_lvl, gid))) = heap.pop() {
+        // Each gate is queued at most once, so `(level, gid)` keys are
+        // distinct and the pop order is fixed by them alone.
+        let netlist = self.netlist;
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.extend(
+            self.dirty
+                .drain(..)
+                .map(|gid| Reverse((netlist.level(gid), gid))),
+        );
+        while let Some(Reverse((_lvl, gid))) = queue.pop() {
             self.counters.gates_reevaluated += 1;
             self.queued[gid.index()] = false;
-            let out = self.netlist.gate(gid).output();
+            let out = netlist.gate(gid).output();
             let new = self.evaluate_gate(gid);
             if !new.close_to(&self.timing[out.index()]) {
                 self.timing[out.index()] = new;
-                for &(g, _pin) in self.netlist.net(out).fanouts() {
+                for &(g, _pin) in netlist.net(out).fanouts() {
                     if !self.queued[g.index()] {
                         self.queued[g.index()] = true;
-                        heap.push(Reverse((self.netlist.level(g), g)));
+                        queue.push(Reverse((netlist.level(g), g)));
                     }
                 }
             }
         }
+        self.queue = queue;
     }
 
     fn full_analyze(&mut self) {
@@ -581,7 +625,9 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// Computes a gate's output timing from its fanin timing.
+    /// Computes a gate's output timing from its fanin timing. Every arc
+    /// table of a cell shares its axes, so the load is located once per
+    /// gate and each input slew once per polarity.
     fn evaluate_gate(&self, gate: GateId) -> NetTiming {
         if self.relaxed[gate.index()] {
             return self.evaluate_gate_relaxed(gate);
@@ -589,7 +635,7 @@ impl<'a> Sta<'a> {
         let g = self.netlist.gate(gate);
         let cell = self.cells[gate.index()];
         let cfg = &self.gate_configs[gate.index()];
-        let load = self.loads[g.output().index()];
+        let load = cell.load_segment(self.loads[g.output().index()]);
         let mut out = NetTiming {
             arr_rise: Time::new(f64::NEG_INFINITY),
             arr_fall: Time::new(f64::NEG_INFINITY),
@@ -600,13 +646,13 @@ impl<'a> Sta<'a> {
             let t_in = &self.timing[inp.index()];
             let arc = cell.arc_physical(cfg.version, cfg.physical_pin(logical));
             // Inverting cells: output rise launched by input fall.
-            let (d_rise, s_rise) = arc.rise.lookup(t_in.slew_fall, load);
+            let (d_rise, s_rise) = arc.rise.lookup_at(cell.slew_segment(t_in.slew_fall), load);
             let cand_rise = t_in.arr_fall + d_rise;
             if cand_rise > out.arr_rise {
                 out.arr_rise = cand_rise;
                 out.slew_rise = s_rise;
             }
-            let (d_fall, s_fall) = arc.fall.lookup(t_in.slew_rise, load);
+            let (d_fall, s_fall) = arc.fall.lookup_at(cell.slew_segment(t_in.slew_rise), load);
             let cand_fall = t_in.arr_rise + d_fall;
             if cand_fall > out.arr_fall {
                 out.arr_fall = cand_fall;
@@ -617,14 +663,16 @@ impl<'a> Sta<'a> {
     }
 
     /// Floor timing of a relaxed gate: per logical input the minimum delay
-    /// and slew over all versions × physical pins. Output slews take the
-    /// global minimum, which keeps downstream lookups (monotone in input
-    /// slew) lower bounds as well.
+    /// and slew over all versions × physical pins, taken over the cell's
+    /// distinct tables (the same set of values, so the same minimum).
+    /// Output slews take the global minimum, which keeps downstream
+    /// lookups (monotone in input slew) lower bounds as well — except
+    /// where a concrete gate downstream switches to a later input's larger
+    /// slew (DESIGN.md §5).
     fn evaluate_gate_relaxed(&self, gate: GateId) -> NetTiming {
         let g = self.netlist.gate(gate);
         let cell = self.cells[gate.index()];
-        let load = self.loads[g.output().index()];
-        let arity = g.kind().arity();
+        let load = cell.load_segment(self.loads[g.output().index()]);
         let mut out = NetTiming {
             arr_rise: Time::new(f64::NEG_INFINITY),
             arr_fall: Time::new(f64::NEG_INFINITY),
@@ -633,18 +681,19 @@ impl<'a> Sta<'a> {
         };
         for &inp in g.inputs() {
             let t_in = &self.timing[inp.index()];
+            let slew_fall = cell.slew_segment(t_in.slew_fall);
             let mut d_rise = Time::new(f64::INFINITY);
+            for table in cell.rise_tables() {
+                let (d, slew) = table.lookup_at(slew_fall, load);
+                d_rise = d_rise.min(d);
+                out.slew_rise = out.slew_rise.min(slew);
+            }
+            let slew_rise = cell.slew_segment(t_in.slew_rise);
             let mut d_fall = Time::new(f64::INFINITY);
-            for version in cell.version_ids() {
-                for pin in 0..arity {
-                    let arc = cell.arc_physical(version, pin);
-                    let (dr, sr) = arc.rise.lookup(t_in.slew_fall, load);
-                    d_rise = d_rise.min(dr);
-                    out.slew_rise = out.slew_rise.min(sr);
-                    let (df, sf) = arc.fall.lookup(t_in.slew_rise, load);
-                    d_fall = d_fall.min(df);
-                    out.slew_fall = out.slew_fall.min(sf);
-                }
+            for table in cell.fall_tables() {
+                let (d, slew) = table.lookup_at(slew_rise, load);
+                d_fall = d_fall.min(d);
+                out.slew_fall = out.slew_fall.min(slew);
             }
             out.arr_rise = out.arr_rise.max(t_in.arr_fall + d_rise);
             out.arr_fall = out.arr_fall.max(t_in.arr_rise + d_fall);
@@ -678,13 +727,7 @@ impl<'a> Sta<'a> {
             if self.relaxed[g.index()] {
                 // Floor: the smallest pin capacitance any configuration
                 // could present.
-                let mut min_cap = Capacitance::new(f64::INFINITY);
-                for version in cell.version_ids() {
-                    for p in 0..cell.arity() {
-                        min_cap = min_cap.min(cell.input_cap_physical(version, p));
-                    }
-                }
-                load += min_cap;
+                load += cell.min_input_cap();
             } else {
                 let cfg = &self.gate_configs[g.index()];
                 load += cell.input_cap_physical(cfg.version, cfg.physical_pin(pin as usize));
@@ -771,6 +814,37 @@ mod tests {
                 "step {step}: incremental {incremental} vs full {full}"
             );
         }
+    }
+
+    #[test]
+    fn in_place_options_match_set_gate() {
+        let lib = library();
+        let n = benchmark("c432").unwrap();
+        let mut by_config = Sta::new(&n, &lib, TimingConfig::default()).unwrap();
+        let mut in_place = by_config.clone();
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        for step in 0..200 {
+            let gid = n.topo_order()[rng.gen_index(n.num_gates())];
+            let gate = n.gate(gid);
+            let cell = lib.cell(gate.kind()).unwrap();
+            if step % 5 == 0 {
+                let fast = GateConfig::identity(cell.fast_version(), gate.kind().arity());
+                by_config.set_gate(gid, fast);
+                in_place.set_fast(gid);
+            } else {
+                let arity = gate.kind().arity();
+                let state = InputState::from_bits(rng.gen_index(1 << arity) as u16, arity);
+                let opts = cell.options_for(state);
+                let opt = &opts[rng.gen_index(opts.len())];
+                by_config.set_gate(gid, GateConfig::from(opt));
+                in_place.set_option(gid, opt.version(), opt.perm());
+            }
+            assert_eq!(by_config.gate_config(gid), in_place.gate_config(gid));
+            let (a, b) = (by_config.max_delay(), in_place.max_delay());
+            assert_eq!(a.value().to_bits(), b.value().to_bits(), "step {step}");
+        }
+        // The same work, flush for flush.
+        assert_eq!(by_config.counters(), in_place.counters());
     }
 
     #[test]

@@ -181,8 +181,31 @@ impl SlewLoadGrid {
     /// the nearest table segment (standard NLDM behavior).
     #[must_use]
     pub fn lookup(&self, input_slew: Time, load: Capacitance) -> (Time, Time) {
-        let (si, sf) = segment(&self.slews, input_slew.value(), Time::value);
-        let (li, lf) = segment(&self.loads, load.value(), Capacitance::value);
+        self.lookup_at(self.slew_segment(input_slew), self.load_segment(load))
+    }
+
+    /// Locates an input slew on the slew axis.
+    #[must_use]
+    pub fn slew_segment(&self, input_slew: Time) -> AxisSegment {
+        segment(&self.slews, input_slew.value(), Time::value)
+    }
+
+    /// Locates an output load on the load axis.
+    #[must_use]
+    pub fn load_segment(&self, load: Capacitance) -> AxisSegment {
+        segment(&self.loads, load.value(), Capacitance::value)
+    }
+
+    /// Interpolates `(delay, output slew)` at located axis positions —
+    /// [`SlewLoadGrid::lookup`] without the axis scans, so one located
+    /// query can be shared by every table over the same axes.
+    ///
+    /// The segments must be located on a grid over the same axes; others
+    /// give meaningless results or panic on an out-of-range index.
+    #[must_use]
+    pub fn lookup_at(&self, slew: AxisSegment, load: AxisSegment) -> (Time, Time) {
+        let (si, sf) = (slew.index, slew.frac);
+        let (li, lf) = (load.index, load.frac);
         let ncols = self.loads.len();
         let at = |table: &[f64]| -> f64 {
             let v00 = table[si * ncols + li];
@@ -194,6 +217,13 @@ impl SlewLoadGrid {
             v0 + (v1 - v0) * sf
         };
         (Time::new(at(&self.delays)), Time::new(at(&self.out_slews)))
+    }
+
+    /// Whether two grids share both axes, so segments located on one
+    /// address the other.
+    #[must_use]
+    pub fn same_axes(&self, other: &Self) -> bool {
+        self.slews == other.slews && self.loads == other.loads
     }
 
     /// The slew axis.
@@ -209,9 +239,16 @@ impl SlewLoadGrid {
     }
 }
 
-/// Finds the interpolation segment index and (possibly out-of-[0,1])
-/// fractional position for `x` on `axis`.
-fn segment<T: Copy>(axis: &[T], x: f64, value: fn(T) -> f64) -> (usize, f64) {
+/// A query's position on one table axis: the interpolation segment and the
+/// fractional position within it (outside `[0, 1]` when extrapolating).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AxisSegment {
+    index: usize,
+    frac: f64,
+}
+
+/// Finds the interpolation segment of `x` on `axis`.
+fn segment<T: Copy>(axis: &[T], x: f64, value: fn(T) -> f64) -> AxisSegment {
     let n = axis.len();
     let mut i = n - 2;
     for k in 0..n - 1 {
@@ -222,7 +259,10 @@ fn segment<T: Copy>(axis: &[T], x: f64, value: fn(T) -> f64) -> (usize, f64) {
     }
     let lo = value(axis[i]);
     let hi = value(axis[i + 1]);
-    (i, (x - lo) / (hi - lo))
+    AxisSegment {
+        index: i,
+        frac: (x - lo) / (hi - lo),
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +322,49 @@ mod tests {
         let (gd, gs) = g.lookup(s, l);
         assert!((gd.value() - k.delay(drive(), l, s).value()).abs() < 1e-9);
         assert!(gs > Time::ZERO);
+    }
+
+    #[test]
+    fn located_lookups_equal_plain_lookups_bit_for_bit() {
+        let g = SlewLoadGrid::characterize(&DelayKernel::default(), drive());
+        // On-axis, interior, and extrapolated on either side of both axes.
+        let slews = [1.0, 5.0, 12.5, 50.0, 137.0, 200.0, 450.0];
+        let loads = [0.25, 1.0, 3.3, 8.0, 20.0, 32.0, 71.0];
+        for &s in &slews {
+            for &l in &loads {
+                let (s, l) = (Time::new(s), Capacitance::new(l));
+                let (d, o) = g.lookup(s, l);
+                let (d_at, o_at) = g.lookup_at(g.slew_segment(s), g.load_segment(l));
+                assert_eq!(
+                    d.value().to_bits(),
+                    d_at.value().to_bits(),
+                    "delay at {s}, {l}"
+                );
+                assert_eq!(
+                    o.value().to_bits(),
+                    o_at.value().to_bits(),
+                    "slew at {s}, {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn same_axes_compares_both_axes() {
+        let k = DelayKernel::default();
+        let a = SlewLoadGrid::characterize(&k, drive());
+        let b = SlewLoadGrid::characterize(
+            &k,
+            DriveStrength::new(Resistance::new(9.0), Capacitance::new(0.4)),
+        );
+        assert!(a.same_axes(&b));
+        let c = SlewLoadGrid::characterize_over(
+            &k,
+            drive(),
+            a.slews().iter().copied(),
+            [Capacitance::new(1.0), Capacitance::new(3.0)],
+        );
+        assert!(!a.same_axes(&c));
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod device;
 mod params;
 mod units;
 
-pub use delay::{DelayKernel, DriveStrength, SlewLoadGrid};
+pub use delay::{AxisSegment, DelayKernel, DriveStrength, SlewLoadGrid};
 pub use device::{Device, MosType, OxideClass, VtClass};
 pub use params::{
     Technology, TechnologyBuilder, TechnologyError, REFERENCE_TEMPERATURE, THERMAL_VOLTAGE,
