@@ -5,50 +5,44 @@
 //! (the solution an ECO flow would have on hand), applies a standard edit
 //! script (adds, a removal, PO-driver rewires — the shape of a typical
 //! engineering change order), and then races two engines on the post-edit
-//! problem at the same deadline:
+//! problem with the same leaf budget:
 //!
-//! * **cold** — the plain parallel branch and bound, seeded by Heuristic 1
-//!   only;
+//! * **cold** — the plain branch and bound, seeded by Heuristic 1 only;
 //! * **eco** — [`svtox_core::Optimizer::rerun_after_edit`], which
 //!   additionally re-evaluates the pre-edit solution's vector as a
 //!   feasible incumbent before searching.
 //!
-//! Both runs expose their live incumbent through a caller-owned
-//! [`SharedMinF64`]; a watcher thread samples it into a (time, cost)
-//! trajectory. The score is *time to quality*: with `Q` the worse of the
-//! two final costs (a quality level both engines provably reached),
-//! `speedup = t_cold(Q) / t_eco(Q)`. CI gates the minimum per-circuit
-//! speedup (warm reuse must pay for itself on every circuit) and records
-//! the report to `results/BENCH_eco.json`.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+//! Work is counted in evaluated leaves, not wall time: every run is
+//! serial and capped at the same number of leaves (the Heuristic 1 seed
+//! and each warm vector count as one), and a [`Convergence`] record
+//! stamps each new best leaf value with the leaf count that reached it.
+//! The score is *leaves to quality*: with `Q` the worse of the two best
+//! values (a quality level both runs provably reached),
+//! `speedup = leaves_cold(Q) / leaves_eco(Q)`. The whole report is a
+//! deterministic function of the code, independent of machine speed and
+//! load. CI gates the minimum per-circuit speedup (warm reuse must pay
+//! for itself on every circuit) and records the report to
+//! `results/BENCH_eco.json`.
 
 use svtox_cells::{Library, LibraryOptions};
-use svtox_core::{
-    DelayPenalty, ExecConfig, Mode, OptError, Problem, RetryPolicy, RunOutcome, SharedMinF64,
-    Solution,
-};
+use svtox_core::{Convergence, DelayPenalty, ExecConfig, Mode, Problem};
 use svtox_netlist::generators::benchmark;
 use svtox_netlist::{EditScript, Netlist};
 use svtox_obs::json::Value;
 use svtox_sta::TimingConfig;
-use svtox_tech::Technology;
+use svtox_tech::{Current, Technology};
 
 use crate::CliError;
 
 /// Circuits the bench sweeps (same set as the other suite benches).
 const CIRCUITS: [&str; 3] = ["c432", "c880", "c1908"];
 
-/// Floor applied to measured times before dividing, in milliseconds: one
-/// watcher sampling period, so a warm seed that lands inside the first
-/// sample neither divides by zero nor inflates the ratio, and two runs
-/// that both reach the target instantly score 1.0, not 0.
-const MIN_MS: f64 = 0.5;
-
-/// Relative slack when matching a trajectory point against the target
-/// cost (float noise between the shared cell and the final solution).
-const REL_EPS: f64 = 1e-9;
+/// Leaves each run may evaluate (the CI race): about one wall-clock
+/// second of serial search on c1908, the slowest suite circuit. The score
+/// measures the warm vector's head start, which lasts until the cold run
+/// passes the warm value: caps of 96 to 256 leaves all score 29× or more
+/// on every circuit, while 384 leaves drop c1908 to 1.0× (DESIGN.md §13).
+pub const LEAVES: u64 = 128;
 
 /// One circuit's cold-vs-eco measurement.
 #[derive(Debug, Clone)]
@@ -61,15 +55,15 @@ pub struct EcoBenchRow {
     pub inputs: usize,
     /// Operations in the standard edit script.
     pub edit_ops: usize,
-    /// Cold final leakage in µA.
+    /// Best leakage the cold run evaluated, in µA.
     pub cold_ua: f64,
-    /// Eco final leakage in µA.
+    /// Best leakage the eco run evaluated (its warm vector included), µA.
     pub eco_ua: f64,
-    /// Time for the cold incumbent to reach the shared target, ms.
-    pub t_cold_ms: f64,
-    /// Time for the warm incumbent to reach the shared target, ms.
-    pub t_eco_ms: f64,
-    /// `t_cold_ms / t_eco_ms` (both floored at [`MIN_MS`]).
+    /// Leaves the cold run took to reach the shared target.
+    pub cold_leaves: u64,
+    /// Leaves the eco run took to reach the shared target.
+    pub eco_leaves: u64,
+    /// `cold_leaves / eco_leaves`.
     pub speedup: f64,
     /// Warm candidates offered to the eco run.
     pub warm_candidates: usize,
@@ -84,10 +78,8 @@ pub struct EcoBenchRow {
 pub struct EcoBenchReport {
     /// Per-circuit measurements.
     pub rows: Vec<EcoBenchRow>,
-    /// Deadline both engines ran under, in milliseconds.
-    pub deadline_ms: f64,
-    /// Worker threads (`0` = one per CPU).
-    pub threads: usize,
+    /// Leaves each run was allowed.
+    pub leaves: u64,
     /// The smallest per-circuit speedup (the CI gate watches this).
     pub min_speedup: f64,
 }
@@ -98,34 +90,34 @@ impl EcoBenchReport {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<8} {:>7} {:>7} {:>5} {:>10} {:>10} {:>10} {:>10} {:>9}\n",
+            "{:<8} {:>7} {:>7} {:>5} {:>10} {:>10} {:>11} {:>10} {:>9}\n",
             "circuit",
             "gates",
             "inputs",
             "edits",
             "cold µA",
             "eco µA",
-            "t_cold ms",
-            "t_eco ms",
+            "cold leaves",
+            "eco leaves",
             "speedup"
         ));
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<8} {:>7} {:>7} {:>5} {:>10.2} {:>10.2} {:>10.1} {:>10.1} {:>8.1}x\n",
+                "{:<8} {:>7} {:>7} {:>5} {:>10.2} {:>10.2} {:>11} {:>10} {:>8.1}x\n",
                 r.circuit,
                 r.gates,
                 r.inputs,
                 r.edit_ops,
                 r.cold_ua,
                 r.eco_ua,
-                r.t_cold_ms,
-                r.t_eco_ms,
+                r.cold_leaves,
+                r.eco_leaves,
                 r.speedup
             ));
         }
         out.push_str(&format!(
-            "deadline: {:.0} ms, minimum speedup: {:.1}x\n",
-            self.deadline_ms, self.min_speedup
+            "leaf budget: {} per run, minimum speedup: {:.1}x\n",
+            self.leaves, self.min_speedup
         ));
         out
     }
@@ -142,8 +134,8 @@ impl EcoBenchReport {
                     ("edit_ops".to_string(), Value::Num(r.edit_ops as f64)),
                     ("cold_ua".to_string(), Value::Num(r.cold_ua)),
                     ("eco_ua".to_string(), Value::Num(r.eco_ua)),
-                    ("t_cold_ms".to_string(), Value::Num(r.t_cold_ms)),
-                    ("t_eco_ms".to_string(), Value::Num(r.t_eco_ms)),
+                    ("cold_leaves".to_string(), Value::Num(r.cold_leaves as f64)),
+                    ("eco_leaves".to_string(), Value::Num(r.eco_leaves as f64)),
                     ("speedup".to_string(), Value::Num(r.speedup)),
                     (
                         "warm_candidates".to_string(),
@@ -162,8 +154,7 @@ impl EcoBenchReport {
         Value::Obj(
             [
                 ("bench".to_string(), Value::Str("eco".to_string())),
-                ("deadline_ms".to_string(), Value::Num(self.deadline_ms)),
-                ("threads".to_string(), Value::Num(self.threads as f64)),
+                ("leaves".to_string(), Value::Num(self.leaves as f64)),
                 (
                     "rows".to_string(),
                     Value::Arr(self.rows.iter().map(row).collect()),
@@ -201,86 +192,59 @@ fn standard_edit_script(netlist: &Netlist) -> String {
     )
 }
 
-/// A search-incumbent trajectory: (milliseconds since start, cost) pairs,
-/// strictly decreasing in cost.
-type Trajectory = Vec<(f64, f64)>;
-
-/// First trajectory time at which the cost reached `target`, or the
-/// deadline if it never did (cannot happen for the run that produced
-/// `target`, by construction).
-fn time_to(traj: &Trajectory, target: f64, deadline_ms: f64) -> f64 {
-    let slack = target.abs() * REL_EPS + f64::EPSILON;
-    traj.iter()
-        .find(|(_, cost)| *cost <= target + slack)
-        .map_or(deadline_ms, |(t, _)| *t)
+/// First leaf count at which a trajectory reached `target`. Only called
+/// with a target at or above the trajectory's last value, so it always
+/// finds one.
+fn leaves_to(trajectory: &[(u64, f64)], target: f64) -> u64 {
+    trajectory
+        .iter()
+        .find(|&&(_, cost)| cost <= target)
+        .map_or(u64::MAX, |&(leaves, _)| leaves)
 }
 
-/// Runs `run` with a caller-owned incumbent cell while a watcher thread
-/// samples the cell into a trajectory.
-fn trace_run<F>(run: F) -> Result<(Trajectory, Solution), CliError>
-where
-    F: FnOnce(&SharedMinF64) -> Result<Solution, OptError>,
-{
-    let shared = SharedMinF64::new(f64::INFINITY);
-    let done = AtomicBool::new(false);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let watcher = scope.spawn(|| {
-            let mut points: Trajectory = Vec::new();
-            let mut last = f64::INFINITY;
-            loop {
-                let finished = done.load(Ordering::Acquire);
-                let cost = shared.get();
-                if cost < last {
-                    points.push((start.elapsed().as_secs_f64() * 1e3, cost));
-                    last = cost;
-                }
-                if finished {
-                    return points;
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        });
-        let result = run(&shared);
-        done.store(true, Ordering::Release);
-        let traj = watcher.join().expect("watcher thread panicked");
-        result
-            .map(|solution| (traj, solution))
-            .map_err(|e| CliError(e.to_string()))
-    })
+/// The best value a run evaluated: its trajectory's last point.
+fn best_of(watch: &Convergence) -> f64 {
+    watch
+        .trajectory()
+        .last()
+        .map_or(f64::INFINITY, |&(_, cost)| cost)
 }
 
-/// Runs the cold and warm engines on every suite circuit at the same
-/// deadline and scores time-to-quality.
+/// Races the cold and warm engines on every suite circuit, each run
+/// serial and capped at `leaves` leaves, and scores leaves to quality.
 ///
 /// # Errors
 ///
 /// Returns an error if a circuit or the library fails to build, or if
 /// either engine fails outright.
-pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchReport, CliError> {
+pub fn run_eco_bench(leaves: u64) -> Result<EcoBenchReport, CliError> {
+    let err = |e: &dyn std::fmt::Display| CliError(e.to_string());
     let library = Library::new(Technology::predictive_65nm(), LibraryOptions::default())
-        .map_err(|e| CliError(e.to_string()))?;
-    let exec = ExecConfig::with_threads(threads)
-        .with_time_budget(deadline)
-        .with_retries(RetryPolicy::resilient());
-    let penalty = DelayPenalty::new(0.05).map_err(|e| CliError(e.to_string()))?;
-    let deadline_ms = deadline.as_secs_f64() * 1e3;
+        .map_err(|e| err(&e))?;
+    let exec = ExecConfig::serial();
+    let penalty = DelayPenalty::new(0.05).map_err(|e| err(&e))?;
     let mut rows = Vec::new();
     let mut min_speedup = f64::INFINITY;
     for name in CIRCUITS {
-        let pre = benchmark(name).map_err(|e| CliError(e.to_string()))?;
-        let pre_problem = Problem::new(&pre, &library, TimingConfig::default())
-            .map_err(|e| CliError(e.to_string()))?;
-        let pre_opt = pre_problem.optimizer(penalty, Mode::Proposed);
-        let prev = match pre_opt.run(&exec, None) {
-            RunOutcome::Failed { error } => {
-                return Err(CliError(format!("{name} (pre-edit): {error}")))
-            }
-            outcome => outcome
-                .best()
-                .expect("a non-failed run has a solution")
-                .clone(),
-        };
+        let pre = benchmark(name).map_err(|e| err(&e))?;
+        let pre_problem =
+            Problem::new(&pre, &library, TimingConfig::default()).map_err(|e| err(&e))?;
+        // The pre-edit solution: a cold run under the same leaf budget
+        // (an empty edit script makes the rerun a plain capped run).
+        let unedited = EditScript::parse("")
+            .and_then(|empty| empty.apply(&mut pre.clone()))
+            .map_err(|e| err(&e))?;
+        let prev = pre_problem
+            .optimizer(penalty, Mode::Proposed)
+            .rerun_after_edit(
+                &exec,
+                None,
+                &unedited,
+                None,
+                Some(&Convergence::new(leaves)),
+            )
+            .map_err(|e| CliError(format!("{name} (pre-edit): {e}")))?
+            .solution;
 
         let script = EditScript::parse(&standard_edit_script(&pre))
             .map_err(|e| CliError(format!("{name}: {e}")))?;
@@ -288,55 +252,46 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
         let trace = script
             .apply(&mut post)
             .map_err(|e| CliError(format!("{name}: {e}")))?;
-        let post_problem = Problem::new(&post, &library, TimingConfig::default())
-            .map_err(|e| CliError(e.to_string()))?;
+        let post_problem =
+            Problem::new(&post, &library, TimingConfig::default()).map_err(|e| err(&e))?;
         let post_opt = post_problem.optimizer(penalty, Mode::Proposed);
 
         // No previous solution and no checkpoint: a cold run.
-        let (cold_traj, cold) = trace_run(|shared| {
-            post_opt
-                .rerun_after_edit(&exec, None, &trace, None, Some(shared))
-                .map(|report| report.solution)
-        })
-        .map_err(|e| CliError(format!("{name} (cold): {e}")))?;
-        let mut warm_stats = None;
-        let (eco_traj, eco) = trace_run(|shared| {
-            post_opt
-                .rerun_after_edit(&exec, Some(&prev), &trace, None, Some(shared))
-                .map(|report| {
-                    warm_stats = Some((report.warm, report.carry_ratio()));
-                    report.solution
-                })
-        })
-        .map_err(|e| CliError(format!("{name} (eco): {e}")))?;
-        let (warm, carry_ratio) = warm_stats.expect("eco run completed");
+        let cold = Convergence::new(leaves);
+        post_opt
+            .rerun_after_edit(&exec, None, &trace, None, Some(&cold))
+            .map_err(|e| CliError(format!("{name} (cold): {e}")))?;
+        let eco = Convergence::new(leaves);
+        let report = post_opt
+            .rerun_after_edit(&exec, Some(&prev), &trace, None, Some(&eco))
+            .map_err(|e| CliError(format!("{name} (eco): {e}")))?;
 
-        // The worse of the two finals: a quality level both engines
-        // demonstrably reached within the deadline.
-        let target = cold.leakage.value().max(eco.leakage.value());
-        let t_cold_ms = time_to(&cold_traj, target, deadline_ms).max(MIN_MS);
-        let t_eco_ms = time_to(&eco_traj, target, deadline_ms).max(MIN_MS);
-        let speedup = t_cold_ms / t_eco_ms;
+        // The worse of the two best values: a quality level both runs
+        // demonstrably reached within the budget.
+        let (cold_best, eco_best) = (best_of(&cold), best_of(&eco));
+        let target = cold_best.max(eco_best);
+        let cold_leaves = leaves_to(&cold.trajectory(), target);
+        let eco_leaves = leaves_to(&eco.trajectory(), target);
+        let speedup = cold_leaves as f64 / eco_leaves as f64;
         min_speedup = min_speedup.min(speedup);
         rows.push(EcoBenchRow {
             circuit: name.to_string(),
             gates: post.num_gates(),
             inputs: post.num_inputs(),
             edit_ops: script.len(),
-            cold_ua: cold.leakage.as_micro_amps(),
-            eco_ua: eco.leakage.as_micro_amps(),
-            t_cold_ms,
-            t_eco_ms,
+            cold_ua: Current::new(cold_best).as_micro_amps(),
+            eco_ua: Current::new(eco_best).as_micro_amps(),
+            cold_leaves,
+            eco_leaves,
             speedup,
-            warm_candidates: warm.candidates,
-            warm_evaluated: warm.evaluated,
-            carry_ratio,
+            warm_candidates: report.warm.candidates,
+            warm_evaluated: report.warm.evaluated,
+            carry_ratio: report.carry_ratio(),
         });
     }
     Ok(EcoBenchReport {
         rows,
-        deadline_ms,
-        threads,
+        leaves,
         min_speedup: if min_speedup.is_finite() {
             min_speedup
         } else {
@@ -359,15 +314,14 @@ mod tests {
                 edit_ops: 6,
                 cold_ua: 11.7,
                 eco_ua: 11.6,
-                t_cold_ms: 840.0,
-                t_eco_ms: 12.0,
+                cold_leaves: 140,
+                eco_leaves: 2,
                 speedup: 70.0,
                 warm_candidates: 1,
                 warm_evaluated: 1,
                 carry_ratio: 0.987,
             }],
-            deadline_ms: 1500.0,
-            threads: 4,
+            leaves: 128,
             min_speedup: 70.0,
         };
         let json = report.render_json();
@@ -385,24 +339,31 @@ mod tests {
 
     #[test]
     fn trajectory_lookup_uses_first_reaching_sample() {
-        let traj = vec![(2.0, 50.0), (10.0, 20.0), (400.0, 12.0)];
-        assert!((time_to(&traj, 20.0, 1500.0) - 10.0).abs() < 1e-12);
-        assert!((time_to(&traj, 12.0, 1500.0) - 400.0).abs() < 1e-12);
-        // A target no sample reaches falls back on the deadline.
-        assert!((time_to(&traj, 1.0, 1500.0) - 1500.0).abs() < 1e-12);
+        let trajectory = [(1, 50.0), (3, 20.0), (40, 12.0)];
+        assert_eq!(leaves_to(&trajectory, 20.0), 3);
+        assert_eq!(leaves_to(&trajectory, 25.0), 3);
+        assert_eq!(leaves_to(&trajectory, 12.0), 40);
     }
 
     #[test]
     fn a_zero_deadline_run_reports_every_circuit_without_gating() {
-        // Both engines fall back on their seeds immediately; the
-        // release-mode comparison with a real deadline runs in ci.sh.
-        let report = run_eco_bench(Duration::ZERO, 2).unwrap();
+        // With no leaves to spend, both engines fall back on their seeds
+        // immediately; the gated budget runs in ci.sh. The race has no
+        // clock, so two runs agree bit for bit.
+        let report = run_eco_bench(0).unwrap();
         assert_eq!(report.rows.len(), CIRCUITS.len());
         for row in &report.rows {
             assert!(row.cold_ua > 0.0 && row.eco_ua > 0.0, "{}", row.circuit);
             assert_eq!(row.warm_candidates, 1, "{}", row.circuit);
             assert!(row.carry_ratio > 0.9, "{}", row.circuit);
+            // The seed, then at most the warm vector.
+            assert_eq!(row.cold_leaves, 1, "{}", row.circuit);
+            assert!(row.eco_leaves <= 2, "{}", row.circuit);
             assert!(row.speedup > 0.0, "{}", row.circuit);
         }
+        assert_eq!(
+            report.render_json(),
+            run_eco_bench(0).unwrap().render_json()
+        );
     }
 }

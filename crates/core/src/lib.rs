@@ -69,7 +69,7 @@ pub use error::OptError;
 pub use outcome::{DegradeReason, RunOutcome};
 pub use problem::{DelayPenalty, GateOrder, Mode, Problem};
 pub use solution::Solution;
-pub use state_search::eco::EcoReport;
+pub use state_search::eco::{Convergence, EcoReport};
 pub use state_search::portfolio::{
     self, BranchOrder, MemberReport, MemberStatus, Plan, PortfolioOutcome, ProvenanceEntry,
     Strategy,

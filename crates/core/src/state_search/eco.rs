@@ -28,8 +28,9 @@
 //! of the tree immediately.
 
 use std::path::Path;
+use std::sync::Mutex;
 
-use svtox_exec::{ExecConfig, SearchStats, SharedMinF64};
+use svtox_exec::{ExecConfig, SearchStats};
 use svtox_netlist::EditTrace;
 
 use crate::checkpoint;
@@ -49,6 +50,64 @@ pub struct WarmStats {
     pub evaluated: usize,
     /// Best (lowest) warm leakage value, if any candidate was evaluated.
     pub best: Option<f64>,
+}
+
+/// A caller-owned record of how a search converges, counted in evaluated
+/// leaves instead of wall time, so two runs can be compared on the same
+/// amount of work (the `suite --eco-bench` race).
+///
+/// Every leaf the search evaluates counts once, and so do the Heuristic 1
+/// seed and each evaluated warm vector. The trajectory holds one
+/// `(leaves, cost)` point per new best leaf value, stamped with the
+/// count that includes that leaf. A run whose count reaches the cap
+/// evaluates no further leaf: it stops like a cancelled one and returns
+/// its best so far. With one worker the
+/// trajectory and the stopping point are deterministic; with more they
+/// depend on scheduling.
+#[derive(Debug)]
+pub struct Convergence {
+    cap: u64,
+    state: Mutex<(u64, Vec<(u64, f64)>)>,
+}
+
+impl Convergence {
+    /// An empty record that stops the run after `leaf_cap` leaves.
+    #[must_use]
+    pub fn new(leaf_cap: u64) -> Self {
+        Self {
+            cap: leaf_cap,
+            state: Mutex::new((0, Vec::new())),
+        }
+    }
+
+    /// Leaves counted so far.
+    #[must_use]
+    pub fn leaves(&self) -> u64 {
+        self.state.lock().expect("convergence lock").0
+    }
+
+    /// The `(leaves, cost)` points, strictly decreasing in cost.
+    #[must_use]
+    pub fn trajectory(&self) -> Vec<(u64, f64)> {
+        self.state.lock().expect("convergence lock").1.clone()
+    }
+
+    /// Whether the count has reached the cap.
+    pub(crate) fn spent(&self) -> bool {
+        self.leaves() >= self.cap
+    }
+
+    /// Counts one evaluated leaf of value `cost`; true once the cap is
+    /// reached.
+    pub(crate) fn leaf(&self, cost: f64) -> bool {
+        let mut state = self.state.lock().expect("convergence lock");
+        state.0 += 1;
+        let count = state.0;
+        if state.1.last().is_none_or(|&(_, best)| cost < best) {
+            state.1.push((count, cost));
+        }
+        count >= self.cap
+    }
 }
 
 /// What an ECO re-optimization did: the new solution plus reuse stats.
@@ -88,9 +147,9 @@ impl<'a> Optimizer<'a> {
     /// pre-edit solution, `checkpoint` a checkpoint file of any pre-edit
     /// run whose seed and per-unit best vectors are mined as additional
     /// warm candidates (best-effort: an unreadable or foreign file
-    /// contributes nothing). `shared_out` optionally exposes the live
-    /// incumbent for time-to-quality instrumentation; with neither `prev`
-    /// nor `checkpoint` this is a cold [`Optimizer::run`] that exposes it.
+    /// contributes nothing). `watch` optionally records the run's
+    /// convergence in leaves and caps its work; with neither `prev` nor
+    /// `checkpoint` this is a cold [`Optimizer::run`] that records it.
     ///
     /// The returned solution is **bit-identical** to a cold
     /// [`Optimizer::run`] on the same problem at any thread count — reuse
@@ -107,7 +166,7 @@ impl<'a> Optimizer<'a> {
         prev: Option<&Solution>,
         trace: &EditTrace,
         checkpoint: Option<&Path>,
-        shared_out: Option<&SharedMinF64>,
+        watch: Option<&Convergence>,
     ) -> Result<EcoReport, OptError> {
         let _span = self.obs.span("core.eco.rerun");
         let mut warm_vectors: Vec<Vec<bool>> = Vec::new();
@@ -135,7 +194,7 @@ impl<'a> Optimizer<'a> {
         }
         let run = Run {
             warm: &warm_vectors,
-            cell: shared_out,
+            watch,
             ..Run::new(Plan::single(Strategy::Heuristic2(self.input_order)))
         };
         let (outcome, warm) = self.search(exec, &exec.budget(), &run)?;
@@ -199,6 +258,64 @@ mod tests {
         ))
         .unwrap();
         script.apply(netlist).unwrap()
+    }
+
+    #[test]
+    fn a_leaf_cap_stops_a_serial_run_at_the_same_leaf_every_time() {
+        let lib = library();
+        let pre = base();
+        let problem = Problem::new(&pre, &lib, TimingConfig::default()).unwrap();
+        let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
+        let prev = cold(&opt, 1);
+        let mut post = pre.clone();
+        let trace = edit(&mut post);
+        let post_problem = Problem::new(&post, &lib, TimingConfig::default()).unwrap();
+        let post_opt = post_problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
+
+        let capped = |cap: u64| {
+            let watch = Convergence::new(cap);
+            let report = post_opt
+                .rerun_after_edit(
+                    &ExecConfig::serial(),
+                    Some(&prev),
+                    &trace,
+                    None,
+                    Some(&watch),
+                )
+                .unwrap();
+            (watch.leaves(), watch.trajectory(), report.solution)
+        };
+        let (leaves, trajectory, solution) = capped(5);
+        // The seed, the warm vector, then three search leaves.
+        assert_eq!(leaves, 5);
+        assert_eq!(trajectory.first().map(|p| p.0), Some(1));
+        assert!(trajectory
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1));
+        let (again, trajectory_again, solution_again) = capped(5);
+        assert_eq!((leaves, &trajectory), (again, &trajectory_again));
+        assert!(solution.same_assignment(&solution_again));
+
+        // With a cap the run never reaches, the record only watches: the
+        // answer is the cold one.
+        let watch = Convergence::new(u64::MAX);
+        let report = post_opt
+            .rerun_after_edit(
+                &ExecConfig::serial(),
+                Some(&prev),
+                &trace,
+                None,
+                Some(&watch),
+            )
+            .unwrap();
+        assert!(report.solution.same_assignment(&cold(&post_opt, 1)));
+        assert_eq!(
+            watch.leaves(),
+            2 + report.stats.leaves_evaluated(),
+            "seed + warm vector + every search leaf"
+        );
+        let last = watch.trajectory().last().unwrap().1;
+        assert!(last <= report.solution.leakage.value());
     }
 
     #[test]

@@ -67,7 +67,7 @@ use crate::error::OptError;
 use crate::outcome::DegradeReason;
 use crate::solution::Solution;
 
-use super::eco::WarmStats;
+use super::eco::{Convergence, WarmStats};
 use super::portfolio::{
     MemberReport, MemberStatus, Plan, PortfolioOutcome, ProvenanceEntry, Strategy,
 };
@@ -85,9 +85,9 @@ pub(crate) struct Run<'r> {
     /// they change how fast a one-member plan converges, never what it
     /// returns.
     pub warm: &'r [Vec<bool>],
-    /// A caller-owned incumbent cell, to watch the search converge from
-    /// another thread.
-    pub cell: Option<&'r SharedMinF64>,
+    /// A caller-owned convergence record: every evaluated leaf is counted
+    /// there, and reaching its cap cancels the unit's budget.
+    pub watch: Option<&'r Convergence>,
 }
 
 impl Run<'_> {
@@ -96,7 +96,7 @@ impl Run<'_> {
             plan,
             checkpoint: None,
             warm: &[],
-            cell: None,
+            watch: None,
         }
     }
 }
@@ -202,6 +202,7 @@ struct Round<'r> {
     /// Base seed of the restart streams.
     restart_seed: u64,
     writer: Option<&'r CheckpointWriter>,
+    watch: Option<&'r Convergence>,
 }
 
 /// One unit's entry in the barrier fold.
@@ -281,10 +282,12 @@ impl<'a> Optimizer<'a> {
 
         let seed_leak = seed.as_ref().map_or(f64::INFINITY, |s| s.leakage.value());
         let seed_leaves = seed.as_ref().map_or(0, |s| s.leaves_explored);
-        let own_cell = SharedMinF64::new(f64::INFINITY);
-        let cell = run.cell.unwrap_or(&own_cell);
+        let cell = &SharedMinF64::new(f64::INFINITY);
         cell.update_min(seed_leak);
-        let warm = self.warm_up(run.warm, cell)?;
+        if let (Some(watch), Some(seed)) = (run.watch, &seed) {
+            watch.leaf(seed.leakage.value());
+        }
+        let warm = self.warm_up(run.warm, cell, run.watch)?;
 
         let k = SPLIT_DEPTH.min(n);
         let mut members = Vec::with_capacity(strategies.len() + 1);
@@ -391,6 +394,7 @@ impl<'a> Optimizer<'a> {
                     single,
                     restart_seed: run.plan.seed,
                     writer: writer.as_ref(),
+                    watch: run.watch,
                 };
                 let worker_obs = if exec.threads() == 1 {
                     self.obs
@@ -555,7 +559,12 @@ impl<'a> Optimizer<'a> {
 
     /// Evaluates the warm vectors whose length still matches, publishing
     /// their values into the live cell only.
-    fn warm_up(&self, vectors: &[Vec<bool>], cell: &SharedMinF64) -> Result<WarmStats, OptError> {
+    fn warm_up(
+        &self,
+        vectors: &[Vec<bool>],
+        cell: &SharedMinF64,
+        watch: Option<&Convergence>,
+    ) -> Result<WarmStats, OptError> {
         let mut warm = WarmStats {
             candidates: vectors.len(),
             ..WarmStats::default()
@@ -575,6 +584,9 @@ impl<'a> Optimizer<'a> {
                 warm.best = Some(value);
             }
             cell.update_min(value);
+            if let Some(watch) = watch {
+                watch.leaf(value);
+            }
         }
         Ok(warm)
     }
@@ -589,6 +601,9 @@ impl<'a> Optimizer<'a> {
         ws: &mut WorkerStats,
     ) -> UnitResult {
         let (nodes0, leaves0) = (ws.nodes_expanded, ws.leaves_evaluated);
+        if round.watch.is_some_and(Convergence::spent) {
+            task.budget.cancel();
+        }
         let solution = if task.budget.expired() {
             None
         } else {
@@ -607,7 +622,7 @@ impl<'a> Optimizer<'a> {
                         Some(cell) if leaf == LeafKind::Greedy => (cell.get(), cell),
                         _ => (round.bound, &frozen),
                     };
-                    self.search_subtree(w, task, &m.order, leaf, local, shared, ws)
+                    self.search_subtree(w, task, &m.order, leaf, local, shared, round.watch, ws)
                 }
                 _ => {
                     // Anytime rounds judge (and feed) the live incumbent;
@@ -621,7 +636,10 @@ impl<'a> Optimizer<'a> {
                     }
                     ws.leaves_evaluated += 1;
                     let sol = self.evaluate_leaf(&w.vector, LeafKind::Greedy, &mut w.sta);
-                    if self.fault.fires(FaultSite::CoreLeaf) {
+                    let capped = round
+                        .watch
+                        .is_some_and(|watch| watch.leaf(sol.leakage.value()));
+                    if capped || self.fault.fires(FaultSite::CoreLeaf) {
                         task.budget.cancel();
                     }
                     if let Some(cell) = round.live {
@@ -663,6 +681,7 @@ impl<'a> Optimizer<'a> {
         leaf: LeafKind,
         local_seed: f64,
         shared: &SharedMinF64,
+        watch: Option<&Convergence>,
         ws: &mut WorkerStats,
     ) -> Option<Solution> {
         let n = order.len();
@@ -699,15 +718,17 @@ impl<'a> Optimizer<'a> {
                 if depth == n {
                     ws.leaves_evaluated += 1;
                     let candidate = self.evaluate_leaf(&w.vector, leaf, &mut w.sta);
-                    if candidate.leakage.value() < local {
-                        local = candidate.leakage.value();
+                    let value = candidate.leakage.value();
+                    if value < local {
+                        local = value;
                         if shared.update_min(local) {
                             ws.incumbent_updates += 1;
                         }
                         best = Some(candidate);
                     }
+                    let capped = watch.is_some_and(|watch| watch.leaf(value));
                     // Chaos hook: a mid-search kill, at leaf granularity.
-                    if self.fault.fires(FaultSite::CoreLeaf) {
+                    if capped || self.fault.fires(FaultSite::CoreLeaf) {
                         task.budget.cancel();
                     }
                 }
