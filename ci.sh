@@ -84,9 +84,9 @@ cargo run --release -p svtox-cli --bin svtox -- \
 echo "==> serve kill-restart smoke (SIGKILL mid-load, journal recovery, loadgen spans the restart)"
 # A journaled server takes SIGKILL mid-run — no drain, no goodbye; the
 # write-ahead journal is all that survives. The immediate restart rebinds
-# the same port (SO_REUSEADDR), replays the journal (finished jobs stay
-# pollable, queued ones re-enqueue, running ones resume warm from their
-# checkpoints), and the loadgen's seeded retry-backoff carries its
+# the same port (SO_REUSEADDR), replays the journal (jobs finished since
+# its last compaction stay pollable, queued ones re-enqueue, running ones
+# resume warm from their checkpoints), and the loadgen's seeded retry-backoff carries its
 # in-flight workers across the outage: zero hangs, every job typed. The
 # recorded report carries the recovery latency and journal health.
 BIN=target/release/svtox
@@ -128,5 +128,9 @@ for WORKLOAD in prove iscas exact serve; do
   cargo run --release --offline --quiet --manifest-path svbench/Cargo.toml -- \
     --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
+# One traced serve run exercises the per-layer path as well: the /metrics
+# scrape, the search probes and the serve.* layer numbers.
+cargo run --release --offline --quiet --manifest-path svbench/Cargo.toml -- \
+  --workload serve --seed 1 --seconds 1 --trace 1 > /dev/null
 
 echo "==> CI green"

@@ -380,9 +380,11 @@ jobs by content hash (netlists by post-strash structural hash, so two
 spellings of one circuit share an entry). Ctrl-C degrades in-flight jobs
 and exits cleanly. `--journal DIR` makes jobs durable: every admission,
 state transition and terminal outcome is appended to a write-ahead JSONL
-journal, and a restarted server replays it — finished jobs stay
-pollable, queued jobs re-enqueue, and running jobs resume warm from
-their checkpoints to bit-identical outcomes. Journal I/O errors degrade
+journal, and a restarted server replays it — jobs finished since the
+journal last compacted stay pollable, queued jobs re-enqueue, and
+running jobs resume warm from their checkpoints to bit-identical
+outcomes. The last 256 finished jobs stay in memory; older ids answer
+410 Gone. Journal I/O errors degrade
 the journal (counter `serve.journal.degraded`), never the service.
 `loadgen` replays `--jobs N` concurrent jobs (against `--addr`, or an
 in-process server by default) and reports throughput, latency
@@ -885,6 +887,16 @@ pub fn load_circuit_faulted(target: &str, fault: &Fault) -> Result<Netlist, CliE
     }
 }
 
+/// What an ECO result may claim: only a search that ran to completion is
+/// bit-identical to a cold re-run; a budget-cut one depends on timing.
+fn eco_label(completed: bool) -> &'static str {
+    if completed {
+        "bit-identical to a cold re-run"
+    } else {
+        "budget expired: best found, not proven"
+    }
+}
+
 /// Executes a parsed command, writing human-readable output into a string
 /// (so tests can assert on it).
 ///
@@ -1342,10 +1354,11 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             )?;
             writeln!(
                 out,
-                "result   : {:.2} µA, delay {:.1} of budget {:.1} (bit-identical to a cold re-run)",
+                "result   : {:.2} µA, delay {:.1} of budget {:.1} ({})",
                 report.solution.leakage.as_micro_amps(),
                 report.solution.delay,
-                post_problem.delay_budget(penalty)
+                post_problem.delay_budget(penalty),
+                eco_label(report.stats.completed)
             )?;
             writeln!(out, "engine   : {}", report.stats)?;
             let vector: String = report
@@ -1595,6 +1608,38 @@ mod tests {
         // Both the circuit and the edit script are mandatory.
         assert!(parse_args(&argv("eco --edits fix.eco")).is_err());
         assert!(parse_args(&argv("eco c432")).is_err());
+    }
+
+    /// The result line's label follows the engine line: a budget-cut run
+    /// must not claim bit-identity. A fast machine may finish inside the
+    /// budget, so the test reads the outcome instead of assuming it.
+    #[test]
+    fn eco_result_label_agrees_with_completion() {
+        let edits =
+            std::env::temp_dir().join(format!("svtox-eco-label-{}.eco", std::process::id()));
+        std::fs::write(
+            &edits,
+            "add t0 = NAND(pi0, pi1)\nadd t1 = NOT(t0)\nrewire _w171 0 t1\n",
+        )
+        .unwrap();
+        let cmd = parse_args(&argv(&format!(
+            "eco c432 --edits {} --threads 1 --time-budget 0.01",
+            edits.display()
+        )))
+        .unwrap();
+        let out = run(cmd);
+        std::fs::remove_file(&edits).ok();
+        let out = out.unwrap();
+        let line = |tag: &str| {
+            out.lines()
+                .find(|l| l.starts_with(tag))
+                .unwrap_or_else(|| panic!("no `{tag}` line in {out}"))
+        };
+        let completed = !line("engine").contains("(budget expired)");
+        assert!(
+            line("result").ends_with(&format!("({})", eco_label(completed))),
+            "{out}"
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub const JOURNAL_VERSION: u64 = 1;
 
 /// Terminal records tolerated in the file before a compaction rewrites
 /// it down to live jobs.
-const COMPACT_DEAD_THRESHOLD: usize = 32;
+pub(crate) const COMPACT_DEAD_THRESHOLD: usize = 32;
 
 /// A non-terminal job as the journal tracks it (the compaction source
 /// and the recovery product).

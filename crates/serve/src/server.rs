@@ -2,8 +2,8 @@
 //!
 //! Architecture (one [`ServerHandle`] owns all of it):
 //!
-//! * an **accept loop** on a non-blocking listener, polling a shutdown
-//!   token between accepts; each connection gets a short-lived handler
+//! * an **accept loop** blocked in `accept`, which shutdown wakes with a
+//!   loopback self-connect; each connection gets a short-lived handler
 //!   thread with read/write timeouts, so a stalled or vanished client
 //!   can never wedge the server;
 //! * a **bounded job queue** (admission control): `POST /jobs` beyond
@@ -15,7 +15,9 @@
 //!   straight onto the optimizer's `Degraded{DeadlineExpired}` contract
 //!   and whose token serves `POST /jobs/:id/cancel` and shutdown;
 //! * the **shared caches** of [`crate::cache::SharedCaches`], so repeat
-//!   traffic skips parsing and characterization.
+//!   traffic skips parsing and characterization;
+//! * a **bounded registry**: the last [`RETAINED_JOBS`] finished jobs stay
+//!   pollable, older ones are dropped and their ids answer `410 Gone`.
 //!
 //! Every job terminates in a typed outcome — the accept loop and the
 //! runners never panic on a bad request, a dead client, or an injected
@@ -23,7 +25,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -87,16 +89,32 @@ impl Default for ServerConfig {
     }
 }
 
+/// Finished jobs kept in memory for `GET /jobs/:id` and `/events`.
+/// Past this many, the oldest finished job is dropped and its id answers
+/// `410 Gone`. A restart re-registers fewer done jobs than this (the
+/// journal compacts at `COMPACT_DEAD_THRESHOLD` terminal records), so
+/// none is lost to it.
+pub const RETAINED_JOBS: usize = 256;
+const _: () = assert!(RETAINED_JOBS > crate::journal::COMPACT_DEAD_THRESHOLD);
+
 struct JobQueue {
     queue: Mutex<VecDeque<Arc<JobRecord>>>,
     ready: Condvar,
+}
+
+/// Every job the server holds, plus the finished ones in the order they
+/// finished: only those are ever evicted.
+#[derive(Default)]
+struct Registry {
+    jobs: HashMap<u64, Arc<JobRecord>>,
+    finished: VecDeque<u64>,
 }
 
 struct ServerState {
     config: ServerConfig,
     obs: Obs,
     caches: SharedCaches,
-    jobs: Mutex<HashMap<u64, Arc<JobRecord>>>,
+    registry: Mutex<Registry>,
     next_id: AtomicU64,
     queue: JobQueue,
     shutdown: CancelToken,
@@ -133,10 +151,7 @@ impl ServerState {
             id,
             &[("depth", FieldValue::U64(depth as u64))],
         ));
-        self.jobs
-            .lock()
-            .expect("job registry lock")
-            .insert(id, Arc::clone(&record));
+        self.register(&record);
         queue.push_back(record);
         self.obs.add("serve.jobs_admitted", 1);
         self.obs.set_gauge("serve.queue_depth", queue.len() as u64);
@@ -144,12 +159,70 @@ impl ServerState {
         Ok((id, depth + 1))
     }
 
-    fn job(&self, id: u64) -> Option<Arc<JobRecord>> {
-        self.jobs
+    fn register(&self, record: &Arc<JobRecord>) {
+        self.registry
             .lock()
             .expect("job registry lock")
+            .jobs
+            .insert(record.id, Arc::clone(record));
+    }
+
+    /// Records a finished job; past [`RETAINED_JOBS`] finished jobs, drops
+    /// the one that finished first. Every terminal path ends here.
+    fn retire(&self, id: u64) {
+        let mut registry = self.registry.lock().expect("job registry lock");
+        registry.finished.push_back(id);
+        if registry.finished.len() > RETAINED_JOBS {
+            if let Some(oldest) = registry.finished.pop_front() {
+                registry.jobs.remove(&oldest);
+                self.obs.add("serve.jobs_evicted", 1);
+            }
+        }
+    }
+
+    /// The job behind a request path: `404` for an id never issued (ids
+    /// start at 1), `410` for one the server has dropped from its
+    /// registry.
+    fn lookup(&self, id: u64) -> Result<Arc<JobRecord>, (u16, String)> {
+        if let Some(job) = self
+            .registry
+            .lock()
+            .expect("job registry lock")
+            .jobs
             .get(&id)
-            .cloned()
+        {
+            return Ok(Arc::clone(job));
+        }
+        if id > 0 && id < self.next_id.load(Ordering::Relaxed) {
+            Err((410, format!("job {id} finished and is no longer retained")))
+        } else {
+            Err((404, format!("no job {id}")))
+        }
+    }
+
+    #[cfg(test)]
+    fn job(&self, id: u64) -> Option<Arc<JobRecord>> {
+        self.lookup(id).ok()
+    }
+
+    /// Cancels the shutdown token and every job, waking the idle runners.
+    /// The token flips under the queue lock, so a runner between its
+    /// check and its wait cannot miss the wake-up.
+    fn begin_shutdown(&self) {
+        {
+            let _queue = self.queue.queue.lock().expect("job queue lock");
+            self.shutdown.cancel();
+            self.queue.ready.notify_all();
+        }
+        for job in self
+            .registry
+            .lock()
+            .expect("job registry lock")
+            .jobs
+            .values()
+        {
+            job.cancel.cancel();
+        }
     }
 
     /// Blocks for the next job; `None` means shutdown.
@@ -163,12 +236,11 @@ impl ServerState {
             if self.shutdown.is_cancelled() {
                 return None;
             }
-            let (guard, _) = self
+            queue = self
                 .queue
                 .ready
-                .wait_timeout(queue, Duration::from_millis(50))
+                .wait(queue)
                 .expect("job queue lock poisoned");
-            queue = guard;
         }
     }
 }
@@ -258,6 +330,7 @@ impl ServerHandle {
             job.set_phase(JobPhase::Done(Box::new(result)));
             job.events.push(&event_line("job.dropped", job.id, &[]));
             job.events.close();
+            self.state.retire(job.id);
         }
     }
 
@@ -282,13 +355,22 @@ impl ServerHandle {
     }
 
     fn stop_threads(&mut self) {
-        self.state.shutdown.cancel();
-        // Cancel running jobs so their budgets expire promptly.
-        for job in self.state.jobs.lock().expect("job registry lock").values() {
-            job.cancel.cancel();
-        }
-        self.state.queue.ready.notify_all();
+        self.state.begin_shutdown();
         if let Some(accept) = self.accept.take() {
+            // A blocked `accept` returns only for a connection: knock on
+            // the listener until the loop has seen the token. One knock is
+            // the rule; another covers one refused by a transient error.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            while !accept.is_finished() {
+                let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let _ = accept.join();
         }
         for runner in self.runners.drain(..) {
@@ -372,14 +454,13 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         Ok(sockaddr) => crate::net::bind_reuse(sockaddr)?,
         Err(_) => TcpListener::bind(&config.addr)?,
     };
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let runner_count = config.runners.max(1);
     let state = Arc::new(ServerState {
         config,
         obs,
         caches: SharedCaches::new(),
-        jobs: Mutex::new(HashMap::new()),
+        registry: Mutex::new(Registry::default()),
         next_id: AtomicU64::new(next_id),
         queue: JobQueue {
             queue: Mutex::new(VecDeque::new()),
@@ -427,7 +508,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
 /// checkpoint file vanished — those restart cold, which the resume spec
 /// already treats as an empty replay).
 fn readmit(state: &Arc<ServerState>, recovered: Vec<crate::recovery::RecoveredJob>) {
-    let mut jobs = state.jobs.lock().expect("job registry lock");
     let mut queue = state.queue.queue.lock().expect("job queue lock");
     for job in recovered {
         state.obs.add("serve.journal.recovered_jobs", 1);
@@ -435,7 +515,8 @@ fn readmit(state: &Arc<ServerState>, recovered: Vec<crate::recovery::RecoveredJo
             let record = Arc::new(JobRecord::new(job.id, job.spec));
             record.set_phase(JobPhase::Done(Box::new(result)));
             record.events.close();
-            jobs.insert(job.id, record);
+            state.register(&record);
+            state.retire(job.id);
             continue;
         }
         let checkpoint = job.checkpoint.as_ref().map(|name| {
@@ -462,7 +543,7 @@ fn readmit(state: &Arc<ServerState>, recovered: Vec<crate::recovery::RecoveredJo
                 }),
             )],
         ));
-        jobs.insert(job.id, Arc::clone(&record));
+        state.register(&record);
         queue.push_back(record);
     }
     state.obs.set_gauge("serve.queue_depth", queue.len() as u64);
@@ -470,9 +551,16 @@ fn readmit(state: &Arc<ServerState>, recovered: Vec<crate::recovery::RecoveredJo
     state.queue.ready.notify_all();
 }
 
+/// Accepts until shutdown. `accept` blocks; [`ServerHandle::shutdown`]
+/// wakes it with a self-connect, and any connection that arrives after
+/// the token flipped, that one included, is dropped unserved.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    while !state.shutdown.is_cancelled() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.shutdown.is_cancelled() {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 state.obs.add("serve.connections", 1);
                 let conn_state = Arc::clone(state);
@@ -485,10 +573,8 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     state.obs.add("serve.spawn_failures", 1);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Err(_) => {
+                // EMFILE and friends: back off instead of spinning.
                 state.obs.add("serve.accept_errors", 1);
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -502,7 +588,6 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 /// that goes quiet *mid-request* gets a 408 (slow-loris defence); one
 /// that goes quiet *between* requests is just closed.
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(state.config.io_timeout));
     let _ = stream.set_write_timeout(Some(state.config.io_timeout));
     let mut served = 0u64;
@@ -596,10 +681,7 @@ fn route(stream: &mut TcpStream, request: &Request, state: &Arc<ServerState>) ->
             let mut obj = std::collections::BTreeMap::new();
             obj.insert("stopping".to_string(), json::Value::Bool(true));
             let result = respond_json(stream, 200, &json::Value::Obj(obj), false);
-            state.shutdown.cancel();
-            for job in state.jobs.lock().expect("job registry lock").values() {
-                job.cancel.cancel();
-            }
+            state.begin_shutdown();
             (result, false)
         }
         ("GET", _) if path.starts_with("/jobs/") && path.ends_with("/events") => {
@@ -664,8 +746,9 @@ fn get_job(
     let Some(id) = job_id_from(path) else {
         return respond_error(stream, 400, "bad job id", keep_alive);
     };
-    let Some(job) = state.job(id) else {
-        return respond_error(stream, 404, &format!("no job {id}"), keep_alive);
+    let job = match state.lookup(id) {
+        Ok(job) => job,
+        Err((status, why)) => return respond_error(stream, status, &why, keep_alive),
     };
     if path.ends_with("/events") {
         return stream_events(stream, &job, state);
@@ -682,8 +765,9 @@ fn cancel_job(
     let Some(id) = job_id_from(path) else {
         return respond_error(stream, 400, "bad job id", keep_alive);
     };
-    let Some(job) = state.job(id) else {
-        return respond_error(stream, 404, &format!("no job {id}"), keep_alive);
+    let job = match state.lookup(id) {
+        Ok(job) => job,
+        Err((status, why)) => return respond_error(stream, status, &why, keep_alive),
     };
     job.cancel.cancel();
     state.obs.add("serve.jobs_cancel_requests", 1);
@@ -746,6 +830,7 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<JobRecord>) {
     state.journal.done(job.id, &result);
     job.set_phase(JobPhase::Done(Box::new(result)));
     job.events.close();
+    state.retire(job.id);
 }
 
 fn failed(circuit: &str, error: String) -> JobResult {
@@ -1449,6 +1534,152 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 408"), "{response}");
         let metrics = get(&addr, "/metrics").body;
         assert!(metrics.contains("serve.http.timeouts"), "{metrics}");
+        handle.shutdown();
+    }
+
+    /// `shutdown` wakes the blocked `accept` itself: it returns promptly
+    /// on a server that never saw a connection, on one bound to the
+    /// unspecified address, and after `POST /shutdown`.
+    #[test]
+    fn shutdown_wakes_the_blocked_accept_promptly() {
+        let prompt = |handle: ServerHandle, case: &str| {
+            let t = Instant::now();
+            handle.shutdown();
+            assert!(
+                t.elapsed() < Duration::from_secs(2),
+                "{case}: {:?}",
+                t.elapsed()
+            );
+        };
+        prompt(start(test_config()).unwrap(), "never connected");
+        let any = start(ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..test_config()
+        })
+        .unwrap();
+        assert!(any.addr().ip().is_unspecified());
+        prompt(any, "bound to 0.0.0.0");
+        let handle = start(test_config()).unwrap();
+        let addr = handle.addr().to_string();
+        assert_eq!(post_json(&addr, "/shutdown", "").status, 200);
+        prompt(handle, "after POST /shutdown");
+    }
+
+    fn status_doc(addr: &str, id: u64) -> (u16, json::Value) {
+        let response = get(addr, &format!("/jobs/{id}"));
+        (response.status, json::parse(&response.body).unwrap())
+    }
+
+    /// Past `RETAINED_JOBS` finished jobs the oldest are dropped: their ids
+    /// answer 410 on every job route, never-issued ids keep 404, the
+    /// newest job is still served, and `serve.jobs_evicted` counts them.
+    #[test]
+    fn finished_jobs_past_the_bound_answer_410_and_are_counted() {
+        const EXTRA: usize = 3;
+        let handle = start(ServerConfig {
+            runners: 1,
+            queue_depth: RETAINED_JOBS + EXTRA,
+            ..test_config()
+        })
+        .unwrap();
+        let addr = handle.addr().to_string();
+        let ids: Vec<u64> = (0..RETAINED_JOBS + EXTRA)
+            .map(|_| submit(&addr, r#"{"circuit":"no_such_circuit"}"#))
+            .collect();
+        // One runner, FIFO: once the last is done, all are.
+        let last = *ids.last().unwrap();
+        wait_done(&addr, last);
+        for &id in &ids[..EXTRA] {
+            assert_eq!(get(&addr, &format!("/jobs/{id}")).status, 410, "job {id}");
+            assert_eq!(get(&addr, &format!("/jobs/{id}/events")).status, 410);
+            assert_eq!(
+                post_json(&addr, &format!("/jobs/{id}/cancel"), "").status,
+                410
+            );
+        }
+        for id in [ids[EXTRA], last] {
+            let (status, doc) = status_doc(&addr, id);
+            assert_eq!(status, 200, "job {id}");
+            assert_eq!(doc.get("state").and_then(|v| v.as_str()), Some("done"));
+        }
+        assert_eq!(get(&addr, &format!("/jobs/{}", last + 1)).status, 404);
+        assert_eq!(get(&addr, "/jobs/0").status, 404);
+        let metrics = get(&addr, "/metrics").body;
+        assert_eq!(
+            metric_value(&metrics, "serve.jobs_evicted"),
+            Some(EXTRA as u64),
+            "{metrics}"
+        );
+        handle.shutdown();
+    }
+
+    fn metric_value(metrics: &str, name: &str) -> Option<u64> {
+        metrics.lines().find_map(|line| {
+            let mut parts = line.split_whitespace();
+            (parts.next()? == name).then(|| parts.next()?.parse().ok())?
+        })
+    }
+
+    /// Eviction goes by finishing order and touches finished jobs only: a
+    /// job running through every eviction, issued before all the evicted
+    /// ones, and a job queued behind them both stay pollable.
+    #[test]
+    fn queued_and_running_jobs_are_never_evicted() {
+        const EXTRA: usize = 2;
+        let handle = start(ServerConfig {
+            runners: 2,
+            queue_depth: RETAINED_JOBS + EXTRA + 2,
+            default_deadline: Duration::from_secs(600),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = handle.addr().to_string();
+        // Only a cancel ends these two.
+        let long = r#"{"circuit":"c432","threads":1}"#;
+        let running = submit(&addr, long);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while status_doc(&addr, running)
+            .1
+            .get("state")
+            .and_then(|v| v.as_str())
+            != Some("running")
+        {
+            assert!(Instant::now() < deadline, "job {running} never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let quick: Vec<u64> = (0..RETAINED_JOBS + EXTRA)
+            .map(|_| submit(&addr, r#"{"circuit":"no_such_circuit"}"#))
+            .collect();
+        let queued = submit(&addr, long);
+        wait_done(&addr, *quick.last().unwrap());
+        for &id in &quick[..EXTRA] {
+            assert_eq!(get(&addr, &format!("/jobs/{id}")).status, 410, "job {id}");
+        }
+        for id in [running, queued] {
+            let (status, doc) = status_doc(&addr, id);
+            assert_eq!(status, 200, "job {id}");
+            let state = doc.get("state").and_then(|v| v.as_str()).unwrap();
+            assert!(state == "queued" || state == "running", "job {id}: {doc}");
+        }
+        handle.shutdown();
+    }
+
+    /// A finished job still inside the bound streams its whole event
+    /// trace, lifecycle markers and optimizer trace alike.
+    #[test]
+    fn events_of_a_retained_done_job_stream_in_full() {
+        let handle = start(test_config()).unwrap();
+        let addr = handle.addr().to_string();
+        let id = submit(&addr, r#"{"circuit":"c432","deadline_ms":150}"#);
+        wait_done(&addr, id);
+        let events = get(&addr, &format!("/jobs/{id}/events"));
+        assert_eq!(events.status, 200);
+        let lines: Vec<&str> = events.body.lines().collect();
+        let recorded = handle.state.job(id).expect("retained").events.snapshot();
+        assert_eq!(lines, recorded);
+        assert!(lines.first().unwrap().contains("job.queued"), "{lines:?}");
+        assert!(lines.last().unwrap().contains("job.finished"), "{lines:?}");
+        assert!(lines.iter().any(|l| l.contains("core.run")), "{lines:?}");
         handle.shutdown();
     }
 }
