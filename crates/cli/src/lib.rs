@@ -883,7 +883,7 @@ pub fn load_circuit_faulted(target: &str, fault: &Fault) -> Result<Netlist, CliE
         map_to_primitives(&raw, MappingOptions::default())
             .map_err(|e| CliError(format!("{target}: mapping failed: {e}")))
     } else {
-        benchmark(target).map_err(|e| CliError(format!("{e}; try `svtox suite` for names")))
+        benchmark(target).map_err(|e| CliError(e.to_string()))
     }
 }
 
@@ -1586,6 +1586,13 @@ mod tests {
         assert_eq!(args.mode, Mode::StateAndVt);
         assert_eq!(args.library.tradeoff_points, TradeoffPoints::Two);
         assert_eq!(args.vectors, 100);
+    }
+
+    #[test]
+    fn an_unknown_circuit_name_says_so() {
+        let err = load_circuit("c17").unwrap_err().to_string();
+        assert!(err.starts_with("unknown built-in circuit `c17`"), "{err}");
+        assert!(err.contains("c432"), "{err}");
     }
 
     #[test]

@@ -75,9 +75,10 @@ fn gate_visit_order(
 }
 
 /// Greedy single traversal of the gate tree (the heuristics' leaf
-/// evaluation). `sta` must arrive in the all-fast configuration and is
-/// returned to it before the function exits. Options are written into the
-/// analyzer in place, so a trial allocates nothing.
+/// evaluation). Every option is a [`svtox_sta::Leaf::try_option`] trial: a
+/// rejected one stops at the first output past the budget and rolls back
+/// exactly, and the leaf scope returns `sta` to its entry state bit for
+/// bit when the traversal ends. `sta` must arrive all-fast.
 pub(crate) fn greedy_assign(
     problem: &Problem<'_>,
     states: &[InputState],
@@ -99,36 +100,25 @@ pub(crate) fn greedy_assign(
     // Tolerate float noise at the budget boundary.
     let budget_eps = budget + Time::new(1e-9 * (1.0 + budget.value()));
     let visit = gate_visit_order(problem, states, mode, order);
-    let mut touched: Vec<GateId> = Vec::with_capacity(visit.len());
-    let mut prev_perm: Vec<u8> = Vec::new();
+    let mut leaf = sta.leaf();
     for gid in visit {
         let kind = netlist.gate(gid).kind();
         let state = states[gid.index()];
         let fast_idx = problem.fast_index(kind, state);
-        let prev = sta.gate_config(gid);
-        let prev_version = prev.version;
-        prev_perm.clone_from(&prev.perm);
         for &idx in problem.allowed(kind, state, mode) {
             if idx == fast_idx {
                 // The fast option is always feasible; keep the default.
                 break;
             }
             let opt = problem.option(kind, state, idx);
-            sta.set_option(gid, opt.version(), opt.perm());
-            if sta.max_delay() <= budget_eps {
+            if leaf.try_option(gid, opt.version(), opt.perm(), budget_eps) {
                 leakage += opt.leakage() - problem.fast_leak(kind, state);
                 choices[gid.index()] = idx;
-                touched.push(gid);
                 break;
             }
-            sta.set_option(gid, prev_version, &prev_perm);
         }
     }
-    let delay = sta.max_delay();
-    // Restore the analyzer for the next leaf.
-    for gid in touched {
-        sta.set_fast(gid);
-    }
+    let delay = leaf.max_delay();
     GateAssignment {
         choices,
         leakage,
@@ -336,16 +326,25 @@ mod tests {
         let states = gate_states(&problem, &vector);
         let budget = problem.delay_budget(crate::DelayPenalty::new(0.25).unwrap());
         let mut sta = Sta::new(&n, &lib, problem.timing()).unwrap();
-        let before = sta.max_delay();
-        let _ = greedy_assign(
-            &problem,
-            &states,
-            Mode::Proposed,
-            GateOrder::SavingsDescending,
-            budget,
-            &mut sta,
-        );
-        assert!((sta.max_delay() - before).abs() < 1e-9);
+        let fresh = sta.net_bits();
+        let all_fast: Vec<u8> = n
+            .gates()
+            .map(|(gid, g)| problem.fast_index(g.kind(), states[gid.index()]))
+            .collect();
+        for _ in 0..2 {
+            let result = greedy_assign(
+                &problem,
+                &states,
+                Mode::Proposed,
+                GateOrder::SavingsDescending,
+                budget,
+                &mut sta,
+            );
+            assert_ne!(result.choices, all_fast, "the leaf upgraded nothing");
+            // Rolled back, not re-propagated: every net's timing and load
+            // bits are a fresh analyzer's.
+            assert_eq!(sta.net_bits(), fresh);
+        }
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub enum NetlistError {
     },
     /// A gate kind is not supported by the requested operation.
     UnsupportedKind(String),
+    /// A name given to the built-in circuit generator is not one of its
+    /// circuits.
+    UnknownBenchmark(String),
     /// A netlist file could not be read from disk.
     Io {
         /// The path being read.
@@ -67,6 +70,11 @@ impl fmt::Display for NetlistError {
             Self::Empty => write!(f, "netlist has no inputs or no gates"),
             Self::Parse { line, message } => write!(f, "parse error on line {line}: {message}"),
             Self::UnsupportedKind(kind) => write!(f, "unsupported gate kind `{kind}`"),
+            Self::UnknownBenchmark(name) => write!(
+                f,
+                "unknown built-in circuit `{name}` (known: {})",
+                crate::generators::benchmark_names().join(", ")
+            ),
             Self::Io { path, message } => write!(f, "cannot read {path}: {message}"),
             Self::Edit(message) => write!(f, "invalid edit: {message}"),
         }
@@ -106,5 +114,15 @@ mod tests {
         assert!(NetlistError::UnsupportedKind("FOO".into())
             .to_string()
             .contains("FOO"));
+        let unknown = NetlistError::UnknownBenchmark("c17".into()).to_string();
+        assert!(
+            unknown.starts_with("unknown built-in circuit `c17`"),
+            "{unknown}"
+        );
+        assert!(
+            unknown.contains("c432") && unknown.contains("alu64"),
+            "{unknown}"
+        );
+        assert!(!unknown.contains("gate kind"), "{unknown}");
     }
 }

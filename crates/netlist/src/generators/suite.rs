@@ -170,7 +170,8 @@ impl BenchmarkProfile {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::UnsupportedKind`] for an unknown name.
+/// Returns [`NetlistError::UnknownBenchmark`] for a name that is not one
+/// of [`benchmark_names`].
 ///
 /// # Example
 ///
@@ -181,7 +182,7 @@ impl BenchmarkProfile {
 /// ```
 pub fn benchmark(name: &str) -> Result<Netlist, NetlistError> {
     BenchmarkProfile::find(name)
-        .ok_or_else(|| NetlistError::UnsupportedKind(format!("unknown benchmark `{name}`")))?
+        .ok_or_else(|| NetlistError::UnknownBenchmark(name.to_string()))?
         .build()
 }
 
@@ -203,6 +204,17 @@ fn rename(netlist: Netlist, name: &str) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_unknown_name_is_reported_as_a_circuit_not_a_gate_kind() {
+        let err = benchmark("c9999").unwrap_err();
+        assert_eq!(err, NetlistError::UnknownBenchmark("c9999".into()));
+        assert!(
+            err.to_string()
+                .starts_with("unknown built-in circuit `c9999`"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn names_cover_the_paper_rows() {

@@ -3,7 +3,9 @@
 //! A journaled server (`--journal DIR`) records every job's lifecycle so
 //! a crashed process can be restarted without forgetting admitted work:
 //!
-//! * `{"type":"journal","version":1}` — the header line;
+//! * `{"type":"journal","version":1,"next_id":N}` — the header line;
+//!   `next_id` is the id high-water mark, so ids of jobs compacted away
+//!   are never issued again after a restart;
 //! * `{"type":"admit","id":N,"spec":{..}}` — the full spec, written
 //!   **before** the client sees its 202 (write-ahead: an acknowledged job
 //!   is a recorded job);
@@ -71,6 +73,8 @@ pub struct LiveJob {
 struct Active {
     file: File,
     live: BTreeMap<u64, LiveJob>,
+    /// One past the largest id ever admitted (the header's `next_id`).
+    next_id: u64,
     dead_since_compact: usize,
 }
 
@@ -104,6 +108,25 @@ impl Journal {
     /// a precondition for serving.
     #[must_use]
     pub fn open(dir: &Path, live: BTreeMap<u64, LiveJob>, obs: &Obs, fault: &Fault) -> Self {
+        Self::open_with_next_id(dir, live, 1, obs, fault)
+    }
+
+    /// [`Journal::open`] for a restart: `next_id` is the recovered id
+    /// high-water mark ([`crate::recovery::Recovery::next_id`]), carried
+    /// into the new header so a second restart cannot reissue an id
+    /// whose job was compacted away.
+    #[must_use]
+    pub fn open_with_next_id(
+        dir: &Path,
+        live: BTreeMap<u64, LiveJob>,
+        next_id: u64,
+        obs: &Obs,
+        fault: &Fault,
+    ) -> Self {
+        let next_id = live
+            .keys()
+            .last()
+            .map_or(next_id, |&id| next_id.max(id + 1));
         let journal = Self {
             dir: dir.to_path_buf(),
             obs: obs.clone(),
@@ -112,13 +135,14 @@ impl Journal {
         };
         let opened = std::fs::create_dir_all(dir)
             .map_err(|e| io::Error::other(format!("create {}: {e}", dir.display())))
-            .and_then(|()| journal.rewrite(&live))
+            .and_then(|()| journal.rewrite(&live, next_id))
             .and_then(|()| OpenOptions::new().append(true).open(dir.join(JOURNAL_FILE)));
         match opened {
             Ok(file) => {
                 *journal.active.lock().expect("journal lock") = Some(Active {
                     file,
                     live,
+                    next_id,
                     dead_since_compact: 0,
                 });
             }
@@ -158,6 +182,7 @@ impl Journal {
             json::Value::Str(name.clone()),
         );
         self.with_active("admit", |active, fault| {
+            active.next_id = active.next_id.max(id + 1);
             active.live.insert(
                 id,
                 LiveJob {
@@ -216,9 +241,9 @@ impl Journal {
     pub fn compact(&self) {
         let mut guard = self.active.lock().expect("journal lock");
         let Some(active) = guard.take() else { return };
-        let live = active.live;
+        let (live, next_id) = (active.live, active.next_id);
         drop(active.file);
-        match self.rewrite(&live).and_then(|()| {
+        match self.rewrite(&live, next_id).and_then(|()| {
             OpenOptions::new()
                 .append(true)
                 .open(self.dir.join(JOURNAL_FILE))
@@ -227,6 +252,7 @@ impl Journal {
                 *guard = Some(Active {
                     file,
                     live,
+                    next_id,
                     dead_since_compact: 0,
                 });
                 self.obs.add("serve.journal.compactions", 1);
@@ -247,10 +273,12 @@ impl Journal {
 
     /// Writes `header + live records` to a temp file and atomically
     /// renames it over the journal.
-    fn rewrite(&self, live: &BTreeMap<u64, LiveJob>) -> io::Result<()> {
+    fn rewrite(&self, live: &BTreeMap<u64, LiveJob>, next_id: u64) -> io::Result<()> {
         let path = self.dir.join(JOURNAL_FILE);
         let tmp = self.dir.join(format!("{JOURNAL_FILE}.tmp"));
-        let mut text = format!("{{\"type\":\"journal\",\"version\":{JOURNAL_VERSION}}}\n");
+        let mut text = format!(
+            "{{\"type\":\"journal\",\"version\":{JOURNAL_VERSION},\"next_id\":{next_id}}}\n"
+        );
         for (id, job) in live {
             text.push_str(&format!(
                 "{{\"type\":\"admit\",\"id\":{id},\"spec\":{}}}\n",

@@ -61,7 +61,8 @@ pub struct RecoveredJob {
 pub struct Recovery {
     /// Replayed jobs in admission order.
     pub jobs: Vec<RecoveredJob>,
-    /// First id the restarted server may assign (`max + 1`).
+    /// First id the restarted server may assign: past every id the file
+    /// names and the header's `next_id` high-water mark.
     pub next_id: u64,
     /// Whether the replay stopped at a torn or malformed line.
     pub torn_tail: bool,
@@ -101,6 +102,7 @@ pub fn replay(path: &Path, fault: &Fault) -> Result<Recovery, String> {
     let Some(header) = lines.next() else {
         return Ok(Recovery::empty());
     };
+    let mut recovery = Recovery::empty();
     match json::parse(header) {
         Ok(v) if v.get("type").and_then(json::Value::as_str) == Some("journal") => {
             let version = v.get("version").and_then(json::Value::as_f64);
@@ -109,6 +111,10 @@ pub fn replay(path: &Path, fault: &Fault) -> Result<Recovery, String> {
                     "unsupported journal version {:?} (this build reads {JOURNAL_VERSION})",
                     version
                 ));
+            }
+            // Written by compaction; older files lack it.
+            if let Some(next_id) = record_id(&v, "next_id") {
+                recovery.next_id = next_id.max(1);
             }
         }
         _ => {
@@ -119,7 +125,6 @@ pub fn replay(path: &Path, fault: &Fault) -> Result<Recovery, String> {
         }
     }
 
-    let mut recovery = Recovery::empty();
     for line in lines {
         let Ok(record) = json::parse(line) else {
             recovery.torn_tail = true;
@@ -130,17 +135,24 @@ pub fn replay(path: &Path, fault: &Fault) -> Result<Recovery, String> {
             break;
         }
         recovery.records += 1;
+        // Every id the journal names was issued once: never hand it out
+        // again, even if its job has since been compacted away.
+        if let Some(id) = record_id(&record, "id") {
+            recovery.next_id = recovery.next_id.max(id + 1);
+        }
     }
-    recovery.next_id = recovery.jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1;
     Ok(recovery)
+}
+
+/// A non-negative integer field of a record.
+fn record_id(record: &json::Value, field: &str) -> Option<u64> {
+    let f = record.get(field)?.as_f64()?;
+    (f.fract() == 0.0 && (0.0..=1e15).contains(&f)).then_some(f as u64)
 }
 
 /// Applies one record; `false` means the record is malformed (torn).
 fn apply(recovery: &mut Recovery, record: &json::Value) -> bool {
-    let id = |r: &json::Value| {
-        let f = r.get("id")?.as_f64()?;
-        (f.fract() == 0.0 && (0.0..=1e15).contains(&f)).then_some(f as u64)
-    };
+    let id = |r: &json::Value| record_id(r, "id");
     match record.get("type").and_then(json::Value::as_str) {
         Some("admit") => {
             let Some(id) = id(record) else { return false };
@@ -299,6 +311,27 @@ mod tests {
         assert!(err.contains("header"), "got: {err}");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
+    }
+
+    #[test]
+    fn the_header_high_water_mark_outlives_compacted_jobs() {
+        // A compacted journal whose jobs all finished: nothing but the
+        // header remembers that ids 1..=6 were issued.
+        let path = temp_file(
+            "high-water",
+            "{\"type\":\"journal\",\"version\":1,\"next_id\":7}\n",
+        );
+        let recovered = replay(&path, Fault::disabled_ref()).unwrap();
+        assert!(recovered.jobs.is_empty());
+        assert_eq!(recovered.next_id, 7);
+        // Records past the mark still move it.
+        let text = format!(
+            "{{\"type\":\"journal\",\"version\":1,\"next_id\":3}}\n{}",
+            admit(8)
+        );
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(replay(&path, Fault::disabled_ref()).unwrap().next_id, 9);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

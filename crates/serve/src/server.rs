@@ -440,7 +440,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
                 .collect();
             let next_id = recovered.next_id;
             (
-                Journal::open(dir, live, &obs, &fault),
+                Journal::open_with_next_id(dir, live, next_id, &obs, &fault),
                 recovered.jobs,
                 next_id,
             )
@@ -1104,11 +1104,15 @@ mod tests {
             .unwrap() as u64;
         let doc = wait_done(&addr, id);
         assert_eq!(doc.get("outcome").and_then(|v| v.as_str()), Some("failed"));
-        assert!(doc
+        let error = doc
             .get("error")
             .and_then(|v| v.as_str())
-            .unwrap_or_default()
-            .contains("no_such_circuit"));
+            .unwrap_or_default();
+        assert!(
+            error.contains("unknown built-in circuit `no_such_circuit`"),
+            "{error}"
+        );
+        assert!(!error.contains("gate kind"), "{error}");
         handle.shutdown();
     }
 
@@ -1417,6 +1421,41 @@ mod tests {
             "{metrics}"
         );
         handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Restarts compact the journal down to live jobs, so after a
+    /// restart with every job finished only the header's id high-water
+    /// mark remembers which ids were issued. Kill → restart → kill →
+    /// restart with no job in between: the next job still gets a new id,
+    /// and an old id answers `410`, not with someone else's job.
+    #[test]
+    fn job_ids_are_never_reused_across_restarts() {
+        let dir = scratch_dir("id-high-water");
+        let durable = || ServerConfig {
+            runners: 1,
+            journal: Some(dir.clone()),
+            ..test_config()
+        };
+        let body = r#"{"circuit":"c432","deadline_ms":100}"#;
+        let mut issued: Vec<u64> = Vec::new();
+        for (life, jobs) in [2, 0, 1].into_iter().enumerate() {
+            let handle = start(durable()).unwrap();
+            let addr = handle.addr().to_string();
+            for _ in 0..jobs {
+                let id = submit(&addr, body);
+                assert!(
+                    issued.iter().all(|&old| id > old),
+                    "life {life}: id {id} reissued (issued before: {issued:?})"
+                );
+                issued.push(id);
+                wait_done(&addr, id);
+            }
+            if life == 2 {
+                assert_eq!(status_doc(&addr, issued[0]).0, 410);
+            }
+            handle.crash();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,6 +11,10 @@
 //! [`Sta::set_gate`] + [`Sta::max_delay`] re-propagate only the affected
 //! cone (a version change perturbs the gate's own drive *and* the loads of
 //! its fanin nets, so the update seeds include the fanin drivers).
+//! [`Sta::try_option`] is the same update as a trial against a delay
+//! limit: it stops at the first primary output past the limit and rolls a
+//! rejected trial back exactly, and a [`Leaf`] scope journals accepted
+//! trials so the whole sequence is undone when the scope ends.
 //!
 //! # Example
 //!
@@ -148,6 +152,49 @@ impl NetTiming {
     }
 }
 
+/// Undo state of [`Sta::try_option`] and of a [`Leaf`] scope.
+///
+/// The trial log holds the old value of every net timing one trial
+/// writes; a flush pops each gate once, so that is at most one entry per
+/// net. The leaf journal holds only the *first* old value of each net
+/// timing and gate configuration an accepted trial changed since the leaf
+/// began (the `saved_*` bitmaps dedupe), so it is bounded by the net and
+/// gate counts however many trials a leaf accepts. Loads are not logged:
+/// a load is a function of its consumers' configurations, so restoring a
+/// configuration and refreshing the loads of the gate's fanin nets
+/// restores their bits.
+#[derive(Debug, Clone)]
+struct UndoLog {
+    trial_timing: Vec<(NetId, NetTiming)>,
+    /// `(gate, version, relaxed)` before the trial, when it changed the
+    /// gate; the old perm is in `trial_perm`.
+    trial_gate: Option<(GateId, VersionId, bool)>,
+    trial_perm: Vec<u8>,
+    saved_timing: Vec<bool>,
+    saved_gate: Vec<bool>,
+    leaf_timing: Vec<(NetId, NetTiming)>,
+    /// `(gate, version, relaxed)`; the perms follow in `leaf_perms`, in
+    /// the same order, each as long as its gate's arity.
+    leaf_gates: Vec<(GateId, VersionId, bool)>,
+    leaf_perms: Vec<u8>,
+}
+
+impl UndoLog {
+    fn new(netlist: &Netlist) -> Self {
+        let (nets, gates) = (netlist.num_nets(), netlist.num_gates());
+        Self {
+            trial_timing: Vec::new(),
+            trial_gate: None,
+            trial_perm: Vec::new(),
+            saved_timing: vec![false; nets],
+            saved_gate: vec![false; gates],
+            leaf_timing: Vec::new(),
+            leaf_gates: Vec::new(),
+            leaf_perms: Vec::new(),
+        }
+    }
+}
+
 /// The static timing engine.
 ///
 /// Holds the current per-gate cell configuration and keeps arrival/slew
@@ -157,6 +204,8 @@ pub struct Sta<'a> {
     netlist: &'a Netlist,
     config: TimingConfig,
     cells: Vec<&'a CellData>,
+    /// Whether each net is a primary output.
+    is_po: Vec<bool>,
     gate_configs: Vec<GateConfig>,
     /// Gates evaluated as floor bounds instead of concrete configurations.
     relaxed: Vec<bool>,
@@ -166,7 +215,17 @@ pub struct Sta<'a> {
     dirty: Vec<GateId>,
     /// The flush queue, kept between flushes so a trial allocates nothing.
     queue: BinaryHeap<Reverse<(u32, GateId)>>,
+    undo: UndoLog,
     counters: StaCounters,
+}
+
+/// Per net, whether it is a primary output.
+fn output_mask(netlist: &Netlist) -> Vec<bool> {
+    let mut is_po = vec![false; netlist.num_nets()];
+    for &o in netlist.outputs() {
+        is_po[o.index()] = true;
+    }
+    is_po
 }
 
 impl<'a> Sta<'a> {
@@ -194,6 +253,8 @@ impl<'a> Sta<'a> {
         let mut sta = Self {
             netlist,
             config,
+            is_po: output_mask(netlist),
+            undo: UndoLog::new(netlist),
             cells,
             gate_configs,
             relaxed: vec![false; netlist.num_gates()],
@@ -278,6 +339,8 @@ impl<'a> Sta<'a> {
         let mut sta = Self {
             netlist,
             config,
+            is_po: output_mask(netlist),
+            undo: UndoLog::new(netlist),
             cells,
             gate_configs,
             relaxed,
@@ -375,6 +438,61 @@ impl<'a> Sta<'a> {
         self.reconfigured(gate);
     }
 
+    /// Tries one gate at a version and pin permutation against a delay
+    /// limit: accepts (returns `true`) exactly when [`Sta::set_option`] +
+    /// un-relaxing the gate + [`Sta::max_delay`] would give a delay
+    /// `<= limit`, and on accept leaves the analyzer bit for bit where
+    /// that sequence would.
+    ///
+    /// Anything pending is flushed first. The trial's flush stops as soon
+    /// as a primary output is written past `limit` (a popped gate is never
+    /// re-queued within a flush, so that arrival is final), and a rejected
+    /// trial is rolled back from a log of the old values it overwrote: the
+    /// gate's configuration and relaxation, and every net timing and load,
+    /// return to their pre-trial bits with nothing left pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or the permutation arity mismatches.
+    pub fn try_option(
+        &mut self,
+        gate: GateId,
+        version: VersionId,
+        perm: &[u8],
+        limit: Time,
+    ) -> bool {
+        self.trial(gate, version, perm, limit, false)
+    }
+
+    /// Opens a [`Leaf`] scope: a run of [`Leaf::try_option`] trials whose
+    /// accepted changes are all undone when the scope drops. Pending
+    /// changes are flushed first, so the restored state is a flushed one.
+    pub fn leaf(&mut self) -> Leaf<'_, 'a> {
+        self.flush();
+        debug_assert!(self.undo.leaf_gates.is_empty() && self.undo.leaf_timing.is_empty());
+        Leaf { sta: self }
+    }
+
+    /// The bit patterns of every net's rise/fall arrival, rise/fall slew
+    /// and load, in net order, after flushing pending changes: for exact
+    /// comparisons between analyzers.
+    pub fn net_bits(&mut self) -> Vec<[u64; 5]> {
+        self.flush();
+        self.timing
+            .iter()
+            .zip(&self.loads)
+            .map(|(t, load)| {
+                [
+                    t.arr_rise.value().to_bits(),
+                    t.arr_fall.value().to_bits(),
+                    t.slew_rise.value().to_bits(),
+                    t.slew_fall.value().to_bits(),
+                    load.value().to_bits(),
+                ]
+            })
+            .collect()
+    }
+
     /// Returns one gate to its fast version with identity routing, in
     /// place.
     ///
@@ -439,11 +557,7 @@ impl<'a> Sta<'a> {
     /// Worst arrival time over all primary outputs (the circuit delay).
     pub fn max_delay(&mut self) -> Time {
         self.flush();
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.timing[o.index()].worst())
-            .fold(Time::ZERO, Time::max)
+        self.po_delay()
     }
 
     /// Worst (rise, fall) arrival at a net.
@@ -573,8 +687,16 @@ impl<'a> Sta<'a> {
 
     /// Applies pending configuration changes incrementally.
     fn flush(&mut self) {
+        self.propagate::<false>(Time::ZERO);
+    }
+
+    /// Re-evaluates the dirty gates and everything their changes reach, in
+    /// `(level, gid)` order. A `TRIAL` propagation logs the old value of
+    /// every net timing it writes and returns `false` as soon as it writes
+    /// a primary output past `limit`, leaving the rest of the queue.
+    fn propagate<const TRIAL: bool>(&mut self, limit: Time) -> bool {
         if self.dirty.is_empty() {
-            return;
+            return true;
         }
         self.counters.flushes += 1;
         self.counters.max_dirty = self.counters.max_dirty.max(self.dirty.len() as u64);
@@ -587,13 +709,21 @@ impl<'a> Sta<'a> {
                 .drain(..)
                 .map(|gid| Reverse((netlist.level(gid), gid))),
         );
+        let mut within = true;
         while let Some(Reverse((_lvl, gid))) = queue.pop() {
             self.counters.gates_reevaluated += 1;
             self.queued[gid.index()] = false;
             let out = netlist.gate(gid).output();
             let new = self.evaluate_gate(gid);
             if !new.close_to(&self.timing[out.index()]) {
+                if TRIAL {
+                    self.undo.trial_timing.push((out, self.timing[out.index()]));
+                }
                 self.timing[out.index()] = new;
+                if TRIAL && self.is_po[out.index()] && new.worst() > limit {
+                    within = false;
+                    break;
+                }
                 for &(g, _pin) in netlist.net(out).fanouts() {
                     if !self.queued[g.index()] {
                         self.queued[g.index()] = true;
@@ -603,6 +733,123 @@ impl<'a> Sta<'a> {
             }
         }
         self.queue = queue;
+        within
+    }
+
+    /// [`Sta::try_option`], moving an accepted trial's old values into the
+    /// leaf journal when `journal` is set.
+    fn trial(
+        &mut self,
+        gate: GateId,
+        version: VersionId,
+        perm: &[u8],
+        limit: Time,
+        journal: bool,
+    ) -> bool {
+        assert_eq!(
+            perm.len(),
+            self.netlist.gate(gate).kind().arity(),
+            "perm arity mismatch"
+        );
+        self.flush();
+        let g = gate.index();
+        let cfg = &mut self.gate_configs[g];
+        self.undo.trial_gate = None;
+        if cfg.version != version || cfg.perm != perm || self.relaxed[g] {
+            self.undo.trial_gate = Some((gate, cfg.version, self.relaxed[g]));
+            self.undo.trial_perm.clone_from(&cfg.perm);
+            cfg.version = version;
+            cfg.perm.copy_from_slice(perm);
+            self.relaxed[g] = false;
+            self.reconfigured(gate);
+        }
+        let accepted = self.propagate::<true>(limit) && self.po_delay() <= limit;
+        if !accepted {
+            self.roll_back();
+        } else if journal {
+            self.keep_trial();
+        }
+        self.undo.trial_timing.clear();
+        accepted
+    }
+
+    /// Undoes the trial in the log: drops what is left of its queue and
+    /// restores every overwritten value, newest first.
+    fn roll_back(&mut self) {
+        for Reverse((_lvl, gid)) in self.queue.drain() {
+            self.queued[gid.index()] = false;
+        }
+        for &(net, old) in self.undo.trial_timing.iter().rev() {
+            self.timing[net.index()] = old;
+        }
+        if let Some((gate, version, relaxed)) = self.undo.trial_gate {
+            let cfg = &mut self.gate_configs[gate.index()];
+            cfg.version = version;
+            cfg.perm.copy_from_slice(&self.undo.trial_perm);
+            self.relaxed[gate.index()] = relaxed;
+            self.refresh_fanin_loads(gate);
+        }
+    }
+
+    /// Recomputes the loads of a gate's fanin nets from the current
+    /// configurations.
+    fn refresh_fanin_loads(&mut self, gate: GateId) {
+        let netlist = self.netlist;
+        for &net in netlist.gate(gate).inputs() {
+            self.refresh_load(net);
+        }
+    }
+
+    /// Moves an accepted trial's old values into the leaf journal, keeping
+    /// only the first save of each net timing and gate.
+    fn keep_trial(&mut self) {
+        let undo = &mut self.undo;
+        for &(net, old) in &undo.trial_timing {
+            if !std::mem::replace(&mut undo.saved_timing[net.index()], true) {
+                undo.leaf_timing.push((net, old));
+            }
+        }
+        if let Some((gate, version, relaxed)) = undo.trial_gate {
+            if !std::mem::replace(&mut undo.saved_gate[gate.index()], true) {
+                undo.leaf_gates.push((gate, version, relaxed));
+                undo.leaf_perms.extend_from_slice(&undo.trial_perm);
+            }
+        }
+    }
+
+    /// Restores every value the leaf journal saved and empties it.
+    fn restore_leaf(&mut self) {
+        let undo = &mut self.undo;
+        for (net, old) in undo.leaf_timing.drain(..) {
+            self.timing[net.index()] = old;
+            undo.saved_timing[net.index()] = false;
+        }
+        let mut perms = undo.leaf_perms.as_slice();
+        for &(gate, version, relaxed) in &undo.leaf_gates {
+            let cfg = &mut self.gate_configs[gate.index()];
+            let (perm, rest) = perms.split_at(cfg.perm.len());
+            cfg.version = version;
+            cfg.perm.copy_from_slice(perm);
+            perms = rest;
+            self.relaxed[gate.index()] = relaxed;
+            undo.saved_gate[gate.index()] = false;
+        }
+        // Every journaled gate is back first, so each refreshed load sums
+        // entry-state configurations only.
+        for i in 0..self.undo.leaf_gates.len() {
+            self.refresh_fanin_loads(self.undo.leaf_gates[i].0);
+        }
+        self.undo.leaf_gates.clear();
+        self.undo.leaf_perms.clear();
+    }
+
+    /// Worst arrival over the primary outputs, as stored.
+    fn po_delay(&self) -> Time {
+        self.netlist
+            .outputs()
+            .iter()
+            .map(|&o| self.timing[o.index()].worst())
+            .fold(Time::ZERO, Time::max)
     }
 
     fn full_analyze(&mut self) {
@@ -719,7 +966,7 @@ impl<'a> Sta<'a> {
     fn refresh_load(&mut self, net: NetId) {
         let n = self.netlist.net(net);
         let mut load = self.config.wire_cap_per_fanout * n.fanouts().len() as f64;
-        if self.netlist.is_primary_output(net) {
+        if self.is_po[net.index()] {
             load += self.config.primary_output_load;
         }
         for &(g, pin) in n.fanouts() {
@@ -737,10 +984,50 @@ impl<'a> Sta<'a> {
     }
 }
 
+/// A scope of greedy trials on one analyzer, opened by [`Sta::leaf`].
+///
+/// Only [`Leaf::try_option`] changes the analyzer, and every change it
+/// keeps is journaled (first write of each net and gate only), so when the
+/// scope drops the analyzer is restored to its state at [`Sta::leaf`] bit
+/// for bit, without re-propagating anything.
+#[derive(Debug)]
+pub struct Leaf<'s, 'a> {
+    sta: &'s mut Sta<'a>,
+}
+
+impl Leaf<'_, '_> {
+    /// [`Sta::try_option`], journaled for the restore at the end of the
+    /// scope.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or the permutation arity mismatches.
+    pub fn try_option(
+        &mut self,
+        gate: GateId,
+        version: VersionId,
+        perm: &[u8],
+        limit: Time,
+    ) -> bool {
+        self.sta.trial(gate, version, perm, limit, true)
+    }
+
+    /// [`Sta::max_delay`] of the current state.
+    pub fn max_delay(&mut self) -> Time {
+        self.sta.max_delay()
+    }
+}
+
+impl Drop for Leaf<'_, '_> {
+    fn drop(&mut self) {
+        self.sta.restore_leaf();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svtox_cells::{InputState, LibraryOptions};
+    use svtox_cells::{InputState, LibraryOptions, StateOption};
     use svtox_exec::rng::Xoshiro256pp;
     use svtox_netlist::generators::benchmark;
     use svtox_netlist::{GateKind, NetlistBuilder};
@@ -1103,5 +1390,97 @@ mod tests {
         }
         let swapped = sta.max_delay();
         assert!((swapped - base).abs() < 1e-6, "{base} vs {swapped}");
+    }
+
+    /// A random option of a random state of `gid`'s cell.
+    fn random_option(
+        lib: &Library,
+        n: &Netlist,
+        gid: GateId,
+        rng: &mut Xoshiro256pp,
+    ) -> StateOption {
+        let kind = n.gate(gid).kind();
+        let arity = kind.arity();
+        let state = InputState::from_bits(rng.gen_index(1 << arity) as u16, arity);
+        let opts = lib.cell(kind).unwrap().options_for(state);
+        opts[rng.gen_index(opts.len())].clone()
+    }
+
+    #[test]
+    fn trials_match_set_option_and_roll_back_exactly() {
+        let lib = library();
+        let n = benchmark("c880").unwrap();
+        let mut sta = Sta::new(&n, &lib, TimingConfig::default()).unwrap();
+        let mut rng = Xoshiro256pp::seed_from_u64(19);
+        let (mut accepts, mut rejects) = (0, 0);
+        for step in 0..300 {
+            let gid = n.topo_order()[rng.gen_index(n.num_gates())];
+            if step % 7 == 0 {
+                sta.set_relaxed(gid, true);
+            }
+            let opt = random_option(&lib, &n, gid, &mut rng);
+            let before = sta.net_bits();
+            let delay = sta.max_delay();
+            let limit = delay * (0.999 + 0.002 * rng.gen_f64());
+            let mut reference = sta.clone();
+            reference.set_option(gid, opt.version(), opt.perm());
+            reference.set_relaxed(gid, false);
+            let want = reference.max_delay() <= limit;
+            let reevaluated = sta.counters().gates_reevaluated;
+            let got = sta.try_option(gid, opt.version(), opt.perm(), limit);
+            assert_eq!(got, want, "step {step}");
+            if got {
+                accepts += 1;
+                assert_eq!(sta.net_bits(), reference.net_bits(), "step {step}");
+                assert_eq!(sta.gate_config(gid), reference.gate_config(gid));
+                assert!(!sta.is_relaxed(gid));
+            } else {
+                rejects += 1;
+                assert_eq!(sta.net_bits(), before, "step {step}");
+                // Stopping early never costs more than the full flush.
+                assert!(
+                    sta.counters().gates_reevaluated - reevaluated
+                        <= reference.counters().gates_reevaluated - reevaluated
+                );
+            }
+        }
+        assert!(accepts > 20 && rejects > 20, "{accepts} / {rejects}");
+    }
+
+    #[test]
+    fn a_leaf_restores_its_entry_state_bit_for_bit() {
+        let lib = library();
+        let n = benchmark("c432").unwrap();
+        let mut sta = Sta::new(&n, &lib, TimingConfig::default()).unwrap();
+        let fresh = sta.net_bits();
+        let limit = sta.max_delay() * 1.05;
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        for round in 0..3 {
+            let mut accepted = 0;
+            {
+                let mut leaf = sta.leaf();
+                for &gid in n.topo_order() {
+                    let opt = random_option(&lib, &n, gid, &mut rng);
+                    if leaf.try_option(gid, opt.version(), opt.perm(), limit) {
+                        accepted += 1;
+                    }
+                }
+                assert!(leaf.max_delay() <= limit);
+                // The journal keeps first writes only: no larger than the
+                // circuit, however many trials were accepted.
+                let undo = &leaf.sta.undo;
+                assert!(undo.leaf_timing.len() <= n.num_nets());
+                assert!(undo.leaf_gates.len() <= accepted.min(n.num_gates()));
+            }
+            assert!(accepted > 0, "round {round}");
+            assert_eq!(sta.net_bits(), fresh, "round {round}");
+            for (gid, gate) in n.gates() {
+                let fast = lib.cell(gate.kind()).unwrap().fast_version();
+                assert_eq!(
+                    sta.gate_config(gid),
+                    &GateConfig::identity(fast, gate.kind().arity())
+                );
+            }
+        }
     }
 }
