@@ -15,6 +15,7 @@
 //! | `core.bound_eq_reference` | event-driven, table-driven `BoundTracker` vs the static-cone `possible_states` reference, bit for bit after every step of a random DFS walk (repeats and X-undo included) on DAGs and c432/c880 |
 //! | `core.bound_sound` | `BoundTracker::bound()` ≤ the exhaustive minimum of Σ `min_leak` over every completion of a random partial vector, in all three modes; equal once every input is decided |
 //! | `core.leaf_eq_reference` | `Optimizer::evaluate_leaf` (greedy and exact gate trees) vs the cloned-config references: choices, leakage and delay bits over two leaves on one analyzer; after a greedy leaf every net's timing and load bits equal a fresh analyzer's, after an exact leaf the delay is within the engine epsilon of a `recompute` |
+//! | `core.leaf_cutoff_eq_full` | `Optimizer::evaluate_leaf_under` (both gate trees) vs the full `evaluate_leaf`, under bars at the full value, one ulp either side, ±1 % and ∞: `Some` exactly when `v < below && v <= at_most`, then choices, leakage and delay bits equal; after every greedy cutoff leaf the analyzer's net bits equal a fresh one's |
 //! | `core.greedy_leaf_feasible` | a greedy leaf's delay is within the budget plus the engine's boundary epsilon, and a cold analyzer agrees with it |
 //! | `sim.tri_covers_two` | `TriSimulator` possible-state sets vs two-valued `Simulator` |
 //! | `sim.packed_eq_scalar_two` | word-level `PackedSimulator` vs scalar `Simulator`, lane-for-lane on random vector batches (ragged tails included) |
@@ -37,8 +38,8 @@ use std::time::Duration;
 
 use svtox_cells::{InputState, Library};
 use svtox_core::{
-    BoundTracker, BranchOrder, Budget, CheckpointSpec, DelayPenalty, GateOrder, LeafKind, Mode,
-    Plan, PortfolioOutcome, Problem, RunOutcome, Solution, Strategy,
+    BoundTracker, BranchOrder, Budget, CheckpointSpec, Cutoff, DelayPenalty, GateOrder, LeafKind,
+    Mode, Plan, PortfolioOutcome, Problem, RunOutcome, Solution, Strategy,
 };
 use svtox_exec::rng::Xoshiro256pp;
 use svtox_fault::{Fault, FaultPlan, Site, Trigger};
@@ -647,6 +648,87 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                                          {delay} but a recompute gives {cold_delay}"
                                     ));
                                 }
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+            &scaled(0.5),
+        ));
+    }
+
+    // --- Gate trees under a cutoff vs the full leaf. -------------------
+    // Bars at the leaf's own value, one ulp either side, ±1 % and ∞; one
+    // analyzer serves every cutoff leaf, so an early exit that leaves
+    // state behind changes a later leaf's bits.
+    if wanted("core.leaf_cutoff_eq_full") {
+        let strategy = (DagStrategy::small(), OptConfigStrategy, AnyU64);
+        reports.push(check_property(
+            "core.leaf_cutoff_eq_full",
+            &strategy,
+            |(spec, config, seed)| {
+                let n = random_dag(spec).map_err(|e| format!("generator: {e}"))?;
+                let problem =
+                    Problem::new(&n, &lib, TimingConfig::default()).map_err(|e| e.to_string())?;
+                let penalty = DelayPenalty::new(config.penalty).map_err(|e| e.to_string())?;
+                let mut rng = Xoshiro256pp::seed_from_u64(*seed);
+                let order = if rng.gen_bool(0.5) {
+                    GateOrder::SavingsDescending
+                } else {
+                    GateOrder::Topological
+                };
+                let opt = problem
+                    .optimizer(penalty, config.mode)
+                    .with_gate_order(order);
+                let new_sta = || Sta::new(&n, &lib, problem.timing()).map_err(|e| e.to_string());
+                let (mut full_sta, mut sta) = (new_sta()?, new_sta()?);
+                let fresh_bits = sta.net_bits();
+                for leaf in [LeafKind::Greedy, LeafKind::Exact] {
+                    for _ in 0..2 {
+                        let vector = random_vector(&n, &mut rng);
+                        let full = opt.evaluate_leaf(&vector, leaf, &mut full_sta);
+                        let v = full.leakage.value();
+                        let bars = [
+                            v,
+                            v.next_up(),
+                            v.next_down(),
+                            1.01 * v,
+                            0.99 * v,
+                            f64::INFINITY,
+                        ];
+                        for _ in 0..6 {
+                            let cutoff = Cutoff {
+                                below: bars[rng.gen_index(bars.len())],
+                                at_most: bars[rng.gen_index(bars.len())],
+                            };
+                            let got = opt.evaluate_leaf_under(&vector, leaf, cutoff, &mut sta);
+                            let admits = v < cutoff.below && v <= cutoff.at_most;
+                            if got.is_some() != admits {
+                                return Err(format!(
+                                    "{leaf:?} leaf ({order:?}) of value {v:e} on {vector:?} \
+                                     under {cutoff:?}: got {}, want {}",
+                                    if got.is_some() { "Some" } else { "None" },
+                                    if admits { "Some" } else { "None" },
+                                ));
+                            }
+                            if let Some(got) = got.filter(|got| !same_bits(got, &full)) {
+                                return Err(format!(
+                                    "{leaf:?} leaf ({order:?}) on {vector:?} under \
+                                     {cutoff:?}: choices {:?} leak {:e} delay {:e}, full \
+                                     choices {:?} leak {v:e} delay {:e}",
+                                    got.choices,
+                                    got.leakage.value(),
+                                    got.delay.value(),
+                                    full.choices,
+                                    full.delay.value()
+                                ));
+                            }
+                            if leaf == LeafKind::Greedy && sta.net_bits() != fresh_bits {
+                                return Err(format!(
+                                    "greedy leaf on {vector:?} under {cutoff:?}: the \
+                                     analyzer was not restored to a fresh one's bits"
+                                ));
                             }
                         }
                     }
@@ -1625,6 +1707,7 @@ pub fn builtin_property_names() -> Vec<&'static str> {
         "core.bound_eq_reference",
         "core.bound_sound",
         "core.leaf_eq_reference",
+        "core.leaf_cutoff_eq_full",
         "core.greedy_leaf_feasible",
         "sim.tri_covers_two",
         "sim.packed_eq_scalar_two",

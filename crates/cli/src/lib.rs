@@ -74,9 +74,14 @@ pub enum Command {
     Loadgen(LoadgenArgs),
     /// `eco` subcommand.
     Eco(EcoArgs),
-    /// `--help` or no arguments.
+    /// `--help` or no arguments, or `--help`/`-h` after a subcommand.
     Help,
 }
+
+/// Every subcommand `parse_args` accepts.
+const SUBCOMMANDS: [&str; 10] = [
+    "optimize", "sweep", "report", "library", "suite", "check", "chaos", "serve", "loadgen", "eco",
+];
 
 /// Arguments of `svtox eco`.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,6 +335,8 @@ USAGE:
             [--mode proposed|vt|state] [--threads N]
             [--time-budget SECONDS] [--checkpoint FILE] [--metrics]
 
+`--help` or `-h` after any subcommand prints this text.
+
 Circuits: built-in reconstructions (c432 … c7552, alu64), ISCAS-85/89
 `.bench` files, or flat structural Verilog `.v` files (composite gates are
 mapped onto the primitive library; flip-flops are extracted).
@@ -430,6 +437,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(sub) = it.next() else {
         return Ok(Command::Help);
     };
+    if SUBCOMMANDS.contains(&sub.as_str())
+        && it.as_slice().iter().any(|a| a == "--help" || a == "-h")
+    {
+        return Ok(Command::Help);
+    }
     match sub.as_str() {
         "optimize" => {
             let mut target: Option<String> = None;
@@ -2027,6 +2039,30 @@ mod tests {
         assert_eq!(parse_args(&argv("--help")).unwrap(), Command::Help);
         let out = run(Command::Help).unwrap();
         assert!(out.contains("USAGE"));
+    }
+
+    #[test]
+    fn every_subcommand_takes_help() {
+        for sub in SUBCOMMANDS {
+            assert!(
+                USAGE.contains(&format!("svtox {sub}")),
+                "{sub} is in the usage"
+            );
+            for flag in ["--help", "-h"] {
+                assert_eq!(
+                    parse_args(&argv(&format!("{sub} {flag}"))).unwrap(),
+                    Command::Help,
+                    "{sub} {flag}"
+                );
+            }
+            // After other arguments too, valid or not.
+            assert_eq!(
+                parse_args(&argv(&format!("{sub} c432 --bogus --help"))).unwrap(),
+                Command::Help,
+                "{sub}"
+            );
+        }
+        assert!(parse_args(&argv("bogus --help")).is_err());
     }
 
     #[test]

@@ -66,6 +66,7 @@ mod state_search;
 
 pub use checkpoint::CheckpointSpec;
 pub use error::OptError;
+pub use gate_assign::Cutoff;
 pub use outcome::{DegradeReason, RunOutcome};
 pub use problem::{DelayPenalty, GateOrder, Mode, Problem};
 pub use solution::Solution;

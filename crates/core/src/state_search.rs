@@ -25,7 +25,7 @@ mod resilient;
 pub use eco::WarmStats;
 
 use crate::error::OptError;
-use crate::gate_assign::{exact_assign, gate_states, greedy_assign};
+use crate::gate_assign::{exact_assign, gate_states, greedy_assign, Cutoff};
 use crate::problem::{DelayPenalty, GateOrder, Mode, Problem};
 use crate::solution::Solution;
 use engine::Run;
@@ -302,8 +302,13 @@ impl<'a> Optimizer<'a> {
                 let mut vector = best.vector.clone();
                 vector[i] = !vector[i];
                 leaves += 1;
-                let candidate = self.evaluate_leaf(&vector, LeafKind::Greedy, &mut sta);
-                if candidate.leakage < best.leakage {
+                let cutoff = Cutoff {
+                    below: best.leakage.value(),
+                    at_most: f64::INFINITY,
+                };
+                if let Some(candidate) =
+                    self.evaluate_leaf_under(&vector, LeafKind::Greedy, cutoff, &mut sta)
+                {
                     best = candidate;
                     improved = true;
                     incumbents += 1;
@@ -359,26 +364,38 @@ impl<'a> Optimizer<'a> {
     /// the all-fast configuration and is returned to it. The solution's
     /// `runtime` and `leaves_explored` are left zero.
     pub fn evaluate_leaf(&self, vector: &[bool], leaf: LeafKind, sta: &mut Sta<'_>) -> Solution {
+        self.evaluate_leaf_under(vector, leaf, Cutoff::NONE, sta)
+            .expect("no leaf is refused without a cutoff")
+    }
+
+    /// [`Optimizer::evaluate_leaf`] under a [`Cutoff`]: `Some` exactly
+    /// when the full leaf's leakage `v` has `v < cutoff.below && v <=
+    /// cutoff.at_most`, and then bit-identical to it. A leaf that
+    /// provably cannot clear the bar stops early. `sta` is returned to
+    /// the all-fast configuration either way.
+    pub fn evaluate_leaf_under(
+        &self,
+        vector: &[bool],
+        leaf: LeafKind,
+        cutoff: Cutoff,
+        sta: &mut Sta<'_>,
+    ) -> Option<Solution> {
         let states = gate_states(self.problem, vector);
+        let (problem, mode, budget) = (self.problem, self.mode, self.budget());
         let assignment = match leaf {
-            LeafKind::Greedy => greedy_assign(
-                self.problem,
-                &states,
-                self.mode,
-                self.gate_order,
-                self.budget(),
-                sta,
-            ),
-            LeafKind::Exact => exact_assign(self.problem, &states, self.mode, self.budget(), sta),
-        };
-        Solution {
+            LeafKind::Greedy => {
+                greedy_assign(problem, &states, mode, self.gate_order, budget, cutoff, sta)
+            }
+            LeafKind::Exact => exact_assign(problem, &states, mode, budget, cutoff, sta),
+        }?;
+        Some(Solution {
             vector: vector.to_vec(),
             choices: assignment.choices,
             leakage: assignment.leakage,
             delay: assignment.delay,
             runtime: Duration::ZERO,
             leaves_explored: 0,
-        }
+        })
     }
 }
 
@@ -467,8 +484,10 @@ mod tests {
                 &states,
                 Mode::Proposed,
                 budget,
+                Cutoff::NONE,
                 &mut sta,
-            );
+            )
+            .unwrap();
             best = best.min(a.leakage.value());
         }
         assert!(

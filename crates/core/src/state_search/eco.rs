@@ -97,14 +97,17 @@ impl Convergence {
         self.leaves() >= self.cap
     }
 
-    /// Counts one evaluated leaf of value `cost`; true once the cap is
-    /// reached.
-    pub(crate) fn leaf(&self, cost: f64) -> bool {
+    /// Counts one evaluated leaf of value `cost`, or `None` for a leaf
+    /// abandoned under a cutoff (it could not have been a new best, so it
+    /// adds no point); true once the cap is reached.
+    pub(crate) fn leaf(&self, cost: Option<f64>) -> bool {
         let mut state = self.state.lock().expect("convergence lock");
         state.0 += 1;
         let count = state.0;
-        if state.1.last().is_none_or(|&(_, best)| cost < best) {
-            state.1.push((count, cost));
+        if let Some(cost) = cost {
+            if state.1.last().is_none_or(|&(_, best)| cost < best) {
+                state.1.push((count, cost));
+            }
         }
         count >= self.cap
     }
@@ -295,6 +298,12 @@ mod tests {
         let (again, trajectory_again, solution_again) = capped(5);
         assert_eq!((leaves, &trajectory), (again, &trajectory_again));
         assert!(solution.same_assignment(&solution_again));
+        // The cut run answers with the best leaf it evaluated, the warm
+        // vector included.
+        assert_eq!(
+            Some(solution.leakage.value()),
+            trajectory.last().map(|p| p.1)
+        );
 
         // With a cap the run never reaches, the record only watches: the
         // answer is the cold one.

@@ -45,6 +45,21 @@
 //!   proven-optimality claim never rests on a bound tightened by a
 //!   partial result that is neither folded nor recorded.
 //!
+//! * **Leaves** are pruned by the same two values: a leaf is evaluated
+//!   under the [`Cutoff`] `{ below: local, at_most: shared }` (restart
+//!   units: `{ below: bar, at_most: ∞ }`), and its gate tree stops as soon
+//!   as the leaf provably cannot be recorded. The leaf is recorded exactly
+//!   when its full value `v` has `v < local && v <= shared`. No leaf whose
+//!   value is at most the shared cell is refused, so the first optimal
+//!   leaf in depth-first order is always recorded. A leaf with
+//!   `shared < v < local` does not lower `local`, but every node a `local`
+//!   of `v` would prune has a bound `>= v > shared` and is pruned by the
+//!   shared test instead, so the node and leaf counts are those of
+//!   recording it; only the split between `prunes_local` and
+//!   `prunes_shared` differs. A refused leaf still counts as a leaf (and
+//!   toward a [`Convergence`] cap) but adds no trajectory point, and it
+//!   counts in `core.leaf.cutoffs`.
+//!
 //! An exact member that exhausts all of its units proves the incumbent
 //! globally optimal and cancels the remaining members through their
 //! per-member budgets (children of the caller's budget, so a deadline or
@@ -71,7 +86,7 @@ use super::eco::{Convergence, WarmStats};
 use super::portfolio::{
     MemberReport, MemberStatus, Plan, PortfolioOutcome, ProvenanceEntry, Strategy,
 };
-use super::{flush_sta, BoundTracker, LeafKind, Optimizer};
+use super::{flush_sta, BoundTracker, Cutoff, LeafKind, Optimizer};
 
 /// Prefix split depth of every subtree member: `2^4` units each.
 pub(crate) const SPLIT_DEPTH: usize = 4;
@@ -82,8 +97,9 @@ pub(crate) struct Run<'r> {
     pub checkpoint: Option<&'r CheckpointSpec>,
     /// Complete input vectors evaluated before the search. Their values
     /// tighten only the live shared cell, whose prune is strict `>`, so
-    /// they change how fast a one-member plan converges, never what it
-    /// returns.
+    /// they change how fast a one-member plan converges, never what a
+    /// complete run returns. A cut run returns the best warm solution if
+    /// no recorded leaf beats it.
     pub warm: &'r [Vec<bool>],
     /// A caller-owned convergence record: every evaluated leaf is counted
     /// there, and reaching its cap cancels the unit's budget.
@@ -285,9 +301,9 @@ impl<'a> Optimizer<'a> {
         let cell = &SharedMinF64::new(f64::INFINITY);
         cell.update_min(seed_leak);
         if let (Some(watch), Some(seed)) = (run.watch, &seed) {
-            watch.leaf(seed.leakage.value());
+            watch.leaf(Some(seed.leakage.value()));
         }
-        let warm = self.warm_up(run.warm, cell, run.watch)?;
+        let (warm, warm_best) = self.warm_up(run.warm, cell, run.watch)?;
 
         let k = SPLIT_DEPTH.min(n);
         let mut members = Vec::with_capacity(strategies.len() + 1);
@@ -518,6 +534,15 @@ impl<'a> Optimizer<'a> {
             None
         };
 
+        // A cut run answers with the best leaf it evaluated. A warm value
+        // only tightens the live cell, so the leaves it refused are not
+        // recorded anywhere else; a complete run has found one at least
+        // as good, and its serial witness stands.
+        if let (Some(_), Some(w)) = (&reason, warm_best) {
+            if best.as_ref().is_none_or(|b| w.leakage < b.leakage) {
+                best = Some(w);
+            }
+        }
         // An unseeded plan stopped before its first leaf still answers
         // with the anytime guarantee's floor.
         let mut best = match best {
@@ -558,37 +583,38 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Evaluates the warm vectors whose length still matches, publishing
-    /// their values into the live cell only.
+    /// their values into the live cell only. Also returns the first best
+    /// warm solution.
     fn warm_up(
         &self,
         vectors: &[Vec<bool>],
         cell: &SharedMinF64,
         watch: Option<&Convergence>,
-    ) -> Result<WarmStats, OptError> {
+    ) -> Result<(WarmStats, Option<Solution>), OptError> {
         let mut warm = WarmStats {
             candidates: vectors.len(),
             ..WarmStats::default()
         };
+        let mut best = None;
         if vectors.is_empty() {
-            return Ok(warm);
+            return Ok((warm, best));
         }
         let netlist = self.problem.netlist();
         let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
         for vector in vectors.iter().filter(|v| v.len() == netlist.num_inputs()) {
-            let value = self
-                .evaluate_leaf(vector, LeafKind::Greedy, &mut sta)
-                .leakage
-                .value();
+            let solution = self.evaluate_leaf(vector, LeafKind::Greedy, &mut sta);
+            let value = solution.leakage.value();
             warm.evaluated += 1;
             if warm.best.is_none_or(|b| value < b) {
                 warm.best = Some(value);
+                best = Some(solution);
             }
             cell.update_min(value);
             if let Some(watch) = watch {
-                watch.leaf(value);
+                watch.leaf(Some(value));
             }
         }
-        Ok(warm)
+        Ok((warm, best))
     }
 
     /// Executes one unit (worker side) and records it once exhausted.
@@ -635,17 +661,24 @@ impl<'a> Optimizer<'a> {
                         *slot = rng.next_u64() & 1 == 1;
                     }
                     ws.leaves_evaluated += 1;
-                    let sol = self.evaluate_leaf(&w.vector, LeafKind::Greedy, &mut w.sta);
-                    let capped = round
-                        .watch
-                        .is_some_and(|watch| watch.leaf(sol.leakage.value()));
+                    let cutoff = Cutoff {
+                        below: bar,
+                        at_most: f64::INFINITY,
+                    };
+                    let sol =
+                        self.evaluate_leaf_under(&w.vector, LeafKind::Greedy, cutoff, &mut w.sta);
+                    let value = sol.as_ref().map(|s| s.leakage.value());
+                    ws.leaf_cutoffs += u64::from(value.is_none());
+                    let capped = round.watch.is_some_and(|watch| watch.leaf(value));
                     if capped || self.fault.fires(FaultSite::CoreLeaf) {
                         task.budget.cancel();
                     }
-                    if let Some(cell) = round.live {
-                        cell.update_min(sol.leakage.value());
+                    // A refused leaf is at or above `bar`, so it could not
+                    // lower the live cell.
+                    if let (Some(cell), Some(value)) = (round.live, value) {
+                        cell.update_min(value);
                     }
-                    (sol.leakage.value() < bar).then_some(sol)
+                    sol
                 }
             }
         };
@@ -717,15 +750,27 @@ impl<'a> Optimizer<'a> {
             if depth == n || tried == 2 {
                 if depth == n {
                     ws.leaves_evaluated += 1;
-                    let candidate = self.evaluate_leaf(&w.vector, leaf, &mut w.sta);
-                    let value = candidate.leakage.value();
-                    if value < local {
-                        local = value;
-                        if shared.update_min(local) {
-                            ws.incumbent_updates += 1;
+                    // The leaf's own bar is the two values its ancestors
+                    // were just pruned against.
+                    let cutoff = Cutoff {
+                        below: local,
+                        at_most: shared.get(),
+                    };
+                    let value = match self.evaluate_leaf_under(&w.vector, leaf, cutoff, &mut w.sta)
+                    {
+                        Some(candidate) => {
+                            local = candidate.leakage.value();
+                            if shared.update_min(local) {
+                                ws.incumbent_updates += 1;
+                            }
+                            best = Some(candidate);
+                            Some(local)
                         }
-                        best = Some(candidate);
-                    }
+                        None => {
+                            ws.leaf_cutoffs += 1;
+                            None
+                        }
+                    };
                     let capped = watch.is_some_and(|watch| watch.leaf(value));
                     // Chaos hook: a mid-search kill, at leaf granularity.
                     if capped || self.fault.fires(FaultSite::CoreLeaf) {
@@ -787,6 +832,7 @@ impl<'a> Optimizer<'a> {
         obs.add("core.search.prunes_local", stats.prunes_local());
         obs.add("core.search.prunes_shared", stats.prunes_shared());
         obs.add("core.search.incumbent_updates", stats.incumbent_updates());
+        obs.add("core.leaf.cutoffs", stats.leaf_cutoffs());
         let resumed: usize = members.iter().map(|m| m.resumed_units).sum();
         if resumed > 0 {
             obs.add("core.search.units_resumed", resumed as u64);

@@ -19,6 +19,8 @@ pub struct WorkerStats {
     pub prunes_local: u64,
     /// Subtrees pruned against the shared (cross-worker) incumbent.
     pub prunes_shared: u64,
+    /// Leaves abandoned because they could not beat the incumbents.
+    pub leaf_cutoffs: u64,
     /// Times this worker improved the shared incumbent.
     pub incumbent_updates: u64,
     /// Tasks this worker executed.
@@ -45,6 +47,7 @@ impl WorkerStats {
         self.leaves_evaluated += other.leaves_evaluated;
         self.prunes_local += other.prunes_local;
         self.prunes_shared += other.prunes_shared;
+        self.leaf_cutoffs += other.leaf_cutoffs;
         self.incumbent_updates += other.incumbent_updates;
         self.tasks_executed += other.tasks_executed;
         self.tasks_skipped += other.tasks_skipped;
@@ -101,6 +104,12 @@ impl SearchStats {
     #[must_use]
     pub fn prunes_shared(&self) -> u64 {
         self.workers.iter().map(|w| w.prunes_shared).sum()
+    }
+
+    /// Total leaves abandoned against the incumbents.
+    #[must_use]
+    pub fn leaf_cutoffs(&self) -> u64 {
+        self.workers.iter().map(|w| w.leaf_cutoffs).sum()
     }
 
     /// Total improvements of the shared incumbent.
@@ -222,6 +231,7 @@ mod tests {
                 WorkerStats {
                     nodes_expanded: 4,
                     prunes_shared: 5,
+                    leaf_cutoffs: 6,
                     tasks_executed: 1,
                     ..Default::default()
                 },
@@ -235,6 +245,7 @@ mod tests {
         assert_eq!(stats.leaves_evaluated(), 1);
         assert_eq!(stats.prunes_local(), 2);
         assert_eq!(stats.prunes_shared(), 5);
+        assert_eq!(stats.leaf_cutoffs(), 6);
         assert_eq!(stats.steals(), 1);
         assert_eq!(stats.tasks_executed(), 3);
         let text = stats.to_string();

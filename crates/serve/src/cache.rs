@@ -21,8 +21,13 @@
 //! cold requests for the same key block on the builder instead of
 //! characterizing in parallel, which is what makes warm jobs measurably
 //! faster than cold ones under load.
+//!
+//! The netlist cache and its text-hash memo keep at most
+//! [`NETLIST_CACHE_CAP`] entries each and evict the oldest first, so a
+//! server that sees ever more distinct circuits holds a bounded working
+//! set.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use svtox_cells::liberty::LeakageRows;
@@ -59,36 +64,83 @@ pub fn library_key(options: &LibraryOptions) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
+/// Distinct netlists (and bench-text memo entries) the server keeps.
+/// Past this many, the oldest entry is evicted: a later job naming it is
+/// a miss that rebuilds it, with the same result bits.
+pub const NETLIST_CACHE_CAP: usize = 64;
+
+/// A map that keeps at most `cap` keys, evicting the first inserted.
+struct Fifo<V> {
+    map: HashMap<u64, V>,
+    order: VecDeque<u64>,
+    cap: usize,
+}
+
+impl<V> Fifo<V> {
+    fn new(cap: usize) -> Self {
+        Self {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            cap,
+        }
+    }
+
+    /// The value under `key`, inserting `make()` if there is none; true
+    /// when that insert evicted the oldest key.
+    fn entry(&mut self, key: u64, make: impl FnOnce() -> V) -> (&mut V, bool) {
+        let mut evicted = false;
+        if !self.map.contains_key(&key) {
+            if self.map.len() == self.cap {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                    evicted = true;
+                }
+            }
+            self.order.push_back(key);
+        }
+        (self.map.entry(key).or_insert_with(make), evicted)
+    }
+}
+
 /// A single-flight cache slot: the first thread to lock it builds, the
 /// rest block and then read the finished value.
 type Slot<T> = Arc<Mutex<Option<Arc<T>>>>;
 
 struct SlotMap<T> {
-    slots: Mutex<HashMap<u64, Slot<T>>>,
+    slots: Mutex<Fifo<Slot<T>>>,
+    /// Counter bumped when a new key evicts the oldest.
+    evictions: &'static str,
 }
 
 impl<T> SlotMap<T> {
-    fn new() -> Self {
+    fn unbounded() -> Self {
+        Self::bounded(usize::MAX, "")
+    }
+
+    fn bounded(cap: usize, evictions: &'static str) -> Self {
         Self {
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Fifo::new(cap)),
+            evictions,
         }
     }
 
     /// Returns `(value, hit)`; `build` runs at most once per key across
-    /// all threads unless it errors (a failed build leaves the slot
-    /// empty so a later request can retry).
+    /// all threads while the key stays cached, unless it errors (a failed
+    /// build leaves the slot empty so a later request can retry). An
+    /// evicted slot stays valid for the requests already holding it.
     fn get_or_build<E>(
         &self,
         key: u64,
+        obs: &Obs,
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<(Arc<T>, bool), E> {
         let slot = {
             let mut slots = self.slots.lock().expect("cache slot map lock");
-            Arc::clone(
-                slots
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(Mutex::new(None))),
-            )
+            let (slot, evicted) = slots.entry(key, || Arc::new(Mutex::new(None)));
+            if evicted {
+                obs.add(self.evictions, 1);
+            }
+            Arc::clone(slot)
         };
         let mut guard = slot.lock().expect("cache slot lock");
         if let Some(value) = guard.as_ref() {
@@ -100,7 +152,7 @@ impl<T> SlotMap<T> {
     }
 
     fn len(&self) -> usize {
-        self.slots.lock().expect("cache slot map lock").len()
+        self.slots.lock().expect("cache slot map lock").map.len()
     }
 }
 
@@ -111,7 +163,7 @@ pub struct SharedCaches {
     liberty: SlotMap<HashMap<String, LeakageRows>>,
     /// Memo from bench-text hash to the post-strash structural key, so
     /// byte-identical resubmissions skip the parse+strash keying pass.
-    bench_keys: Mutex<HashMap<u64, u64>>,
+    bench_keys: Mutex<Fifo<u64>>,
 }
 
 impl Default for SharedCaches {
@@ -125,10 +177,10 @@ impl SharedCaches {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            libraries: SlotMap::new(),
-            netlists: SlotMap::new(),
-            liberty: SlotMap::new(),
-            bench_keys: Mutex::new(HashMap::new()),
+            libraries: SlotMap::unbounded(),
+            netlists: SlotMap::bounded(NETLIST_CACHE_CAP, "serve.cache.netlist_evictions"),
+            liberty: SlotMap::unbounded(),
+            bench_keys: Mutex::new(Fifo::new(NETLIST_CACHE_CAP)),
         }
     }
 
@@ -142,9 +194,11 @@ impl SharedCaches {
         options: LibraryOptions,
         obs: &Obs,
     ) -> Result<Arc<Library>, svtox_cells::LibraryError> {
-        let (lib, hit) = self.libraries.get_or_build(library_key(&options), || {
-            Library::new(Technology::predictive_65nm(), options)
-        })?;
+        let (lib, hit) = self
+            .libraries
+            .get_or_build(library_key(&options), obs, || {
+                Library::new(Technology::predictive_65nm(), options)
+            })?;
         obs.add(
             if hit {
                 "serve.cache.library_hits"
@@ -180,6 +234,7 @@ impl SharedCaches {
             .bench_keys
             .lock()
             .expect("bench-key memo lock")
+            .map
             .get(&text_key)
             .copied();
         let (key, prepared) = match known {
@@ -192,11 +247,11 @@ impl SharedCaches {
             }
         };
         let freshly_keyed = prepared.is_some();
-        let (netlist, hit) = self.netlists.get_or_build(key, || {
+        let (netlist, hit) = self.netlists.get_or_build(key, obs, || {
             match prepared {
                 Some(mapped) => Ok(mapped),
-                // The memoized entry can only vanish if the cache were
-                // ever evicted; rebuild from the text just in case.
+                // The memo outlived the netlist it names: rebuild it from
+                // the text.
                 None => {
                     let raw = parse_bench(bench_text)?;
                     map_to_primitives(&raw, MappingOptions::default())
@@ -209,7 +264,7 @@ impl SharedCaches {
         self.bench_keys
             .lock()
             .expect("bench-key memo lock")
-            .insert(text_key, key);
+            .entry(text_key, || key);
         self.count_netlist(hit, obs);
         Ok(netlist)
     }
@@ -225,7 +280,7 @@ impl SharedCaches {
         obs: &Obs,
     ) -> Result<Arc<Netlist>, svtox_netlist::NetlistError> {
         let key = fnv1a64(format!("name:{name}").as_bytes());
-        let (netlist, hit) = self.netlists.get_or_build(key, || benchmark(name))?;
+        let (netlist, hit) = self.netlists.get_or_build(key, obs, || benchmark(name))?;
         self.count_netlist(hit, obs);
         Ok(netlist)
     }
@@ -254,7 +309,7 @@ impl SharedCaches {
         let key = edited.content_hash();
         let (netlist, hit) = self
             .netlists
-            .get_or_build(key, || Ok::<_, svtox_netlist::NetlistError>(edited))?;
+            .get_or_build(key, obs, || Ok::<_, svtox_netlist::NetlistError>(edited))?;
         self.count_netlist(hit, obs);
         obs.add(
             if hit {
@@ -291,7 +346,7 @@ impl SharedCaches {
         let key = fnv1a64(text.as_bytes());
         let (rows, hit) = self
             .liberty
-            .get_or_build(key, || parse_liberty_leakage(text))?;
+            .get_or_build(key, obs, || parse_liberty_leakage(text))?;
         obs.add(
             if hit {
                 "serve.cache.liberty_hits"
@@ -309,7 +364,7 @@ impl SharedCaches {
         self.libraries.len()
     }
 
-    /// Distinct netlists seen so far.
+    /// Distinct netlists cached (at most [`NETLIST_CACHE_CAP`]).
     #[must_use]
     pub fn netlists_cached(&self) -> usize {
         self.netlists.len()
@@ -398,6 +453,48 @@ mod tests {
             .netlist_edited(&base, "add x = NAND(nope)", &obs)
             .is_err());
         assert!(caches.netlist_edited(&base, "garbage line", &obs).is_err());
+    }
+
+    /// Distinct circuits: gate counts differ, so no two share a key.
+    fn distinct_bench(i: usize) -> String {
+        use svtox_netlist::generators::{random_dag, RandomDagSpec};
+        random_dag(&RandomDagSpec::new(format!("cap{i}"), 4, 2, 6 + i, 3))
+            .expect("spec is valid")
+            .to_bench()
+    }
+
+    #[test]
+    fn the_netlist_cache_evicts_its_oldest_entry_past_the_cap() {
+        let caches = SharedCaches::new();
+        let obs = Obs::enabled();
+        let texts: Vec<String> = (0..=NETLIST_CACHE_CAP).map(distinct_bench).collect();
+        for text in &texts {
+            caches.netlist_from_bench(text, &obs).unwrap();
+        }
+        assert_eq!(caches.netlists_cached(), NETLIST_CACHE_CAP);
+        assert_eq!(
+            caches.bench_keys.lock().unwrap().map.len(),
+            NETLIST_CACHE_CAP
+        );
+        // The newest is still a hit; the first was evicted and misses
+        // (evicting the second in turn).
+        caches
+            .netlist_from_bench(&texts[NETLIST_CACHE_CAP], &obs)
+            .unwrap();
+        let first = caches.netlist_from_bench(&texts[0], &obs).unwrap();
+        assert_eq!(
+            first.to_bench(),
+            map_to_primitives(&parse_bench(&texts[0]).unwrap(), MappingOptions::default())
+                .unwrap()
+                .to_bench()
+        );
+        let counters = obs.counter_snapshot();
+        assert_eq!(counters.get("serve.cache.netlist_hits"), Some(&1));
+        assert_eq!(
+            counters.get("serve.cache.netlist_misses"),
+            Some(&(NETLIST_CACHE_CAP as u64 + 2))
+        );
+        assert_eq!(counters.get("serve.cache.netlist_evictions"), Some(&2));
     }
 
     #[test]

@@ -1652,6 +1652,61 @@ mod tests {
         handle.shutdown();
     }
 
+    /// One circuit past the netlist cache's cap evicts the first: its
+    /// resubmission is a miss, counted as an eviction, and the job
+    /// rebuilt from the text ends with the same result bits.
+    #[test]
+    fn an_evicted_netlist_rebuilds_to_the_same_result_bits() {
+        use crate::cache::NETLIST_CACHE_CAP;
+        use svtox_netlist::generators::{random_dag, RandomDagSpec};
+        let handle = start(ServerConfig {
+            runners: 1,
+            queue_depth: NETLIST_CACHE_CAP + 2,
+            ..test_config()
+        })
+        .unwrap();
+        let addr = handle.addr().to_string();
+        // Distinct gate counts, so no two circuits share a cache key.
+        let body = |i: usize| {
+            let bench = random_dag(&RandomDagSpec::new(format!("evict{i}"), 4, 2, 6 + i, 3))
+                .expect("spec is valid")
+                .to_bench();
+            bench_job_body(&bench, 1)
+        };
+        let ids: Vec<u64> = (0..=NETLIST_CACHE_CAP)
+            .map(|i| submit(&addr, &body(i)))
+            .collect();
+        let first = wait_done(&addr, ids[0]);
+        wait_done(&addr, *ids.last().unwrap());
+        let again = wait_done(&addr, submit(&addr, &body(0)));
+        for field in ["outcome", "vector", "choices", "leakage_bits", "delay_bits"] {
+            assert_eq!(
+                again.get(field).and_then(|v| v.as_str()),
+                first.get(field).and_then(|v| v.as_str()),
+                "field={field}"
+            );
+        }
+        assert_eq!(
+            first.get("outcome").and_then(|v| v.as_str()),
+            Some("complete")
+        );
+        assert_eq!(handle.caches().netlists_cached(), NETLIST_CACHE_CAP);
+        let metrics = get(&addr, "/metrics").body;
+        let misses = NETLIST_CACHE_CAP as u64 + 2;
+        assert_eq!(
+            metric_value(&metrics, "serve.cache.netlist_misses"),
+            Some(misses),
+            "{metrics}"
+        );
+        assert_eq!(
+            metric_value(&metrics, "serve.cache.netlist_evictions"),
+            Some(2),
+            "{metrics}"
+        );
+        assert_eq!(metric_value(&metrics, "serve.cache.netlist_hits"), None);
+        handle.shutdown();
+    }
+
     fn metric_value(metrics: &str, name: &str) -> Option<u64> {
         metrics.lines().find_map(|line| {
             let mut parts = line.split_whitespace();
