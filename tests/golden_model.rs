@@ -8,9 +8,15 @@
 //! all-fast corner. If any of these drifts, every downstream table in
 //! DESIGN.md (and the optimizer's Vt/Tox trade-off) silently changes — this
 //! test makes the drift loud and points at the number that moved.
+//!
+//! `library_bits_are_pinned` goes one level up: it pins the exact bits of
+//! the characterized library (leakage tables, state options, input caps)
+//! under the default options and one variant of each option, so a faster
+//! characterization has to reproduce them exactly.
 
-use svtox_cells::{Library, LibraryOptions};
+use svtox_cells::{InputState, Library, LibraryOptions, TradeoffPoints, VtSitePolicy};
 use svtox_netlist::generators::benchmark;
+use svtox_netlist::GateKind;
 use svtox_sim::random_average_leakage;
 use svtox_tech::{Device, MosType, OxideClass, Technology, Voltage, VtClass};
 
@@ -93,5 +99,117 @@ fn fast_corner_igate_share_is_about_a_third() {
     assert!(
         (avg.isub.value() + avg.igate.value() - avg.total.value()).abs() < 1e-9,
         "Isub + Igate must equal total leakage"
+    );
+}
+
+/// Folds one 64-bit word into an FNV-1a hash, byte by byte.
+fn fnv(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over the bits of everything the characterization produces:
+/// every `(version, state)` leakage and its breakdown, every state
+/// option's version, perm and breakdown, and every input capacitance.
+/// Cells are visited INV, NAND2.., NOR2.. so the order never depends on
+/// the library's map.
+fn library_fingerprint(options: LibraryOptions) -> u64 {
+    let lib = Library::new(Technology::predictive_65nm(), options).expect("library builds");
+    let mut kinds = vec![GateKind::Inv];
+    kinds.extend((2..=options.max_arity as u8).map(GateKind::Nand));
+    kinds.extend((2..=options.max_arity as u8).map(GateKind::Nor));
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for kind in kinds {
+        let cell = lib.cell(kind).expect("kind within max_arity");
+        for v in cell.version_ids() {
+            for state in InputState::all(cell.arity()) {
+                let split = cell.leakage_breakdown(v, state);
+                fnv(&mut hash, cell.leakage(v, state).value().to_bits());
+                fnv(&mut hash, split.isub.value().to_bits());
+                fnv(&mut hash, split.igate.value().to_bits());
+            }
+            for pin in 0..cell.arity() {
+                fnv(&mut hash, cell.input_cap_physical(v, pin).value().to_bits());
+            }
+        }
+        for state in InputState::all(cell.arity()) {
+            for opt in cell.options_for(state) {
+                fnv(&mut hash, opt.version().index() as u64);
+                for &p in opt.perm() {
+                    fnv(&mut hash, u64::from(p));
+                }
+                fnv(&mut hash, opt.leakage().value().to_bits());
+                fnv(&mut hash, opt.breakdown().isub.value().to_bits());
+                fnv(&mut hash, opt.breakdown().igate.value().to_bits());
+            }
+        }
+    }
+    hash
+}
+
+/// The library's bits, pinned for the default options and for one
+/// variant of each option. A change to the DC solver or to version
+/// generation that moves any characterized value fails here; a mismatch
+/// prints every actual pin.
+#[test]
+fn library_bits_are_pinned() {
+    let default = LibraryOptions::default();
+    let configs = [
+        ("default", default),
+        (
+            "two-points",
+            LibraryOptions {
+                tradeoff_points: TradeoffPoints::Two,
+                ..default
+            },
+        ),
+        (
+            "uniform-stack",
+            LibraryOptions {
+                uniform_stack: true,
+                ..default
+            },
+        ),
+        (
+            "max-arity-4",
+            LibraryOptions {
+                max_arity: 4,
+                ..default
+            },
+        ),
+        (
+            "no-reordering",
+            LibraryOptions {
+                pin_reordering: false,
+                ..default
+            },
+        ),
+        (
+            "output-adjacent",
+            LibraryOptions {
+                vt_site: VtSitePolicy::OutputAdjacent,
+                ..default
+            },
+        ),
+    ];
+    let actual: Vec<String> = configs
+        .iter()
+        .map(|&(tag, options)| format!("{tag} {:016x}", library_fingerprint(options)))
+        .collect();
+    let expected = [
+        "default 223b0dd00c684726",
+        "two-points 7d6216bdefe90c0d",
+        "uniform-stack 65ac08e78ec2c241",
+        "max-arity-4 ae6110ef287133f0",
+        "no-reordering 9184ef8ffd34f669",
+        "output-adjacent 51799456af93dcae",
+    ];
+    assert_eq!(
+        actual,
+        expected,
+        "library bits moved; actual pins:\n{}",
+        actual.join("\n")
     );
 }
