@@ -34,8 +34,8 @@ cargo run --release -p svtox-cli --bin svtox -- \
   optimize c432 --threads 4 --time-budget 0.2 --checkpoint "$CKPT" > /dev/null
 cargo run --release -p svtox-cli --bin svtox -- \
   optimize c432 --threads 4 --time-budget 0.2 --checkpoint "$CKPT" --resume > /dev/null
-# The portfolio engine (the default) checkpoints member-by-member into
-# sibling files named "$CKPT.<member-slug>".
+# Both strategies, the portfolio (the default) included, write one
+# checkpoint file, "$CKPT", that holds every member's state by slug.
 rm -f "$CKPT" "$CKPT".*
 
 echo "==> sim bench (packed vs scalar Monte-Carlo, gated at 10x)"

@@ -17,7 +17,7 @@ use svtox_tech::{
 };
 
 use crate::error::LibraryError;
-use crate::solver::{solve_leakage, LeakageBreakdown};
+use crate::solver::{solve_detailed, LeakageBreakdown, StackMemo};
 use crate::state::InputState;
 use crate::topology::{CellTopology, NetworkKind};
 use crate::version::{generate_versions, CellVersion, GenerationConfig, VtSitePolicy};
@@ -341,14 +341,18 @@ impl CellData {
         self.rise_tables[0].load_segment(load)
     }
 
+    /// Characterizes one cell. Version generation and the leakage table
+    /// share one stack memo, so each distinct stack is solved once; the
+    /// second value is how many stacks that took.
     fn build(
         tech: &Technology,
         kernel: &DelayKernel,
         kind: GateKind,
         config: GenerationConfig,
-    ) -> Result<Self, LibraryError> {
+    ) -> Result<(Self, usize), LibraryError> {
         let topo = CellTopology::for_kind(kind)?;
-        let generated = generate_versions(tech, &topo, config);
+        let mut memo = StackMemo::default();
+        let generated = generate_versions(tech, &topo, config, &mut memo);
         let arity = topo.arity();
         let nstates = 1usize << arity;
 
@@ -376,7 +380,7 @@ impl CellData {
             let mut row = Vec::with_capacity(nstates);
             let mut split_row = Vec::with_capacity(nstates);
             for state in InputState::all(arity) {
-                let split = solve_leakage(tech, &topo, v.assignment(), state);
+                let split = solve_detailed(tech, &topo, v.assignment(), state, &mut memo).breakdown;
                 row.push(split.total());
                 split_row.push(split);
             }
@@ -414,7 +418,7 @@ impl CellData {
             .flatten()
             .fold(Capacitance::new(f64::INFINITY), |min, &cap| min.min(cap));
 
-        Ok(Self {
+        let cell = Self {
             kind,
             topo,
             versions,
@@ -426,7 +430,8 @@ impl CellData {
             rise_tables,
             fall_tables,
             min_input_cap,
-        })
+        };
+        Ok((cell, memo.solves()))
     }
 }
 
@@ -509,6 +514,7 @@ pub struct Library {
     tech: Technology,
     options: LibraryOptions,
     cells: HashMap<GateKind, CellData>,
+    stack_solves: usize,
 }
 
 impl Library {
@@ -537,14 +543,26 @@ impl Library {
             kinds.push(GateKind::Nand(n));
             kinds.push(GateKind::Nor(n));
         }
+        let mut stack_solves = 0;
         for kind in kinds {
-            cells.insert(kind, CellData::build(&tech, &kernel, kind, config)?);
+            let (cell, solves) = CellData::build(&tech, &kernel, kind, config)?;
+            cells.insert(kind, cell);
+            stack_solves += solves;
         }
         Ok(Self {
             tech,
             options,
             cells,
+            stack_solves,
         })
+    }
+
+    /// How many series-stack DC solves the build ran: one per distinct
+    /// (network, physical state, stack `(Vt, Tox)` slice) of each cell. A
+    /// deterministic work unit for traces (`cells.stack_solves`).
+    #[must_use]
+    pub fn stack_solves(&self) -> usize {
+        self.stack_solves
     }
 
     /// The technology the library was characterized for.
@@ -779,6 +797,14 @@ mod tests {
                 cell.fall_tables().len()
             );
         }
+    }
+
+    /// The default build solves 70 distinct stacks (it makes 300 cell
+    /// solves, 234 of them with a blocked stack). A deterministic work
+    /// unit: a change here means the memo key or version generation moved.
+    #[test]
+    fn default_library_solves_seventy_stacks() {
+        assert_eq!(library().stack_solves(), 70);
     }
 
     #[test]

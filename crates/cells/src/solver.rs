@@ -3,10 +3,20 @@
 //!
 //! Given a cell topology, a per-transistor `(Vt, Tox)` assignment and an
 //! input state, [`solve_leakage`] computes the internal node voltages of the
-//! blocked transistor stack by Gauss–Seidel current-continuity relaxation
-//! (bisection per node, devices modeled with subthreshold + triode/saturation
+//! blocked transistor stack by a shooting method on current continuity
+//! (an outer bisection on the stack current over an inner bisection per
+//! node, devices modeled with subthreshold + triode/saturation
 //! conduction), then evaluates per-device subthreshold and gate-tunneling
 //! currents from those voltages.
+//!
+//! A series stack's node voltages depend only on which network it is, its
+//! devices' `(Vt, Tox)` slice and the physical input state, and a cell's
+//! versions share many slices. The library build therefore solves each
+//! distinct stack once per cell through a `StackMemo` and evaluates the
+//! currents of every (version, state) from the stored voltages; the public
+//! [`solve_leakage`] takes the same path with an empty memo. The stack
+//! solver's bisections stop at their fixed point (see `solve_stack`), which
+//! returns the same bits as running every step.
 //!
 //! This is where the paper's physical arguments fall out of the model
 //! instead of being hard-coded:
@@ -18,6 +28,8 @@
 //!   and with them its tunneling current (the pin-reordering lever);
 //! * **one high-Vt device suffices per stack** — the rail-adjacent device
 //!   controls the stack current.
+
+use std::collections::HashMap;
 
 use svtox_netlist::GateKind;
 use svtox_tech::{Current, Device, MosType, OxideClass, Technology, Voltage, VtClass};
@@ -61,8 +73,41 @@ pub fn solve_leakage(
     assignment: &[(VtClass, OxideClass)],
     state: InputState,
 ) -> LeakageBreakdown {
-    solve_detailed(tech, topo, assignment, state).breakdown
+    solve_detailed(tech, topo, assignment, state, &mut StackMemo::default()).breakdown
 }
+
+/// Node voltages of the series stacks one cell's characterization has
+/// solved, keyed by (pull-up network, physical state bits, the stack's
+/// `(Vt, Tox)` slice): everything `solve_stack` reads besides the cell's
+/// fixed topology. Valid for one topology only; a library build keeps one
+/// per cell and drops it when the cell is done.
+#[derive(Debug, Default)]
+pub(crate) struct StackMemo {
+    voltages: HashMap<StackKey, Vec<f64>>,
+}
+
+type StackKey = (bool, u16, Vec<(VtClass, OxideClass)>);
+
+impl StackMemo {
+    /// How many stacks were solved, i.e. `solve_stack` runs: one per
+    /// distinct key.
+    pub(crate) fn solves(&self) -> usize {
+        self.voltages.len()
+    }
+
+    /// Fills `v` (whose ends hold the terminal voltages) from the memo,
+    /// running `solve` on `v` and storing the result on a miss.
+    fn node_voltages(&mut self, key: StackKey, v: &mut [f64], solve: impl FnOnce(&mut [f64])) {
+        let stored = self.voltages.entry(key).or_insert_with(|| {
+            solve(v);
+            v.to_vec()
+        });
+        v.copy_from_slice(stored);
+    }
+}
+
+/// The stack solver `solve_detailed_by` runs on a memo miss.
+type StackSolver = fn(&Technology, &[Device], &[TransistorRole], &[bool], f64, &mut [f64]);
 
 /// Detailed solve result: the aggregate breakdown plus the gate-tunneling
 /// current of every device (global transistor index), used by version
@@ -73,11 +118,28 @@ pub(crate) struct DetailedLeakage {
     pub device_igate: Vec<Current>,
 }
 
+/// Solves one (assignment, state) of a cell, taking each blocked stack's
+/// node voltages from `memo` (solving and storing them on a miss). The
+/// currents are evaluated afresh in device order, so every sum adds the
+/// same operands in the same order whether the voltages were stored or
+/// just solved.
 pub(crate) fn solve_detailed(
     tech: &Technology,
     topo: &CellTopology,
     assignment: &[(VtClass, OxideClass)],
     state: InputState,
+    memo: &mut StackMemo,
+) -> DetailedLeakage {
+    solve_detailed_by(tech, topo, assignment, state, memo, solve_stack)
+}
+
+fn solve_detailed_by(
+    tech: &Technology,
+    topo: &CellTopology,
+    assignment: &[(VtClass, OxideClass)],
+    state: InputState,
+    memo: &mut StackMemo,
+    stack_solver: StackSolver,
 ) -> DetailedLeakage {
     assert_eq!(
         assignment.len(),
@@ -136,7 +198,10 @@ pub(crate) fn solve_detailed(
                     // No voltage across the network; every node equalizes.
                     v.iter_mut().for_each(|x| *x = rail);
                 } else {
-                    solve_stack(tech, &devs, devices, &pins, vdd, &mut v);
+                    let slice = assignment[base..base + k].to_vec();
+                    memo.node_voltages((network_is_pu, state.bits(), slice), &mut v, |v| {
+                        stack_solver(tech, &devs, devices, &pins, vdd, v);
+                    });
                 }
                 if blocked {
                     // Stack current = current through the rail-side device.
@@ -177,7 +242,131 @@ fn instantiate(role: &TransistorRole, (vt, tox): (VtClass, OxideClass)) -> Devic
 /// nearly-flat current plateaus of subthreshold chains.
 ///
 /// `v[0]` and `v[k]` are the fixed terminal voltages; `v[1..k]` is filled.
+///
+/// Both bisections stop at their fixed point instead of running a fixed
+/// 80 × 60 steps, with the same result bits. Once the midpoint of a
+/// bracket `(a, b)` rounds to `a` or to `b`, every later step assigns that
+/// midpoint to one end: either the bracket is unchanged, or it collapses
+/// to `(m, m)`, whose midpoint `0.5 * (m + m)` is `m` again. Either way
+/// the final `0.5 * (a + b)` is `m`, the value at the stop. A walk writes
+/// `v[1..k]` from `v[0]` and its trial current alone, so skipping the
+/// outer loop's remaining walks leaves nothing stale for the final one.
 fn solve_stack(
+    tech: &Technology,
+    devs: &[Device],
+    roles: &[TransistorRole],
+    pins: &[bool],
+    vdd: f64,
+    v: &mut [f64],
+) {
+    let k = devs.len();
+    if k <= 1 {
+        return;
+    }
+    let rail = v[0];
+    let vout = v[k];
+    // Node voltages run rail → output; ascending for an NMOS chain below a
+    // high output, descending for a PMOS chain above a low output.
+    let ascending = vout > rail;
+    let gate = |i: usize| {
+        if pins[roles[i].pin as usize] {
+            vdd
+        } else {
+            0.0
+        }
+    };
+
+    // Walks v[1..k] for a trial stack current and returns the current the
+    // last device would then carry toward the fixed output terminal.
+    let walk = |i_stack: f64, v: &mut [f64]| -> f64 {
+        for i in 0..k - 1 {
+            let vg = gate(i);
+            // Find x = v[i+1] such that device i carries i_stack; its
+            // magnitude grows monotonically as x moves away from v[i].
+            let (mut near, mut far) = if ascending { (v[i], vdd) } else { (v[i], 0.0) };
+            if branch_current(tech, &devs[i], vg, v[i], far) <= i_stack {
+                // Even the full excursion cannot carry the trial current.
+                v[i + 1] = far;
+                continue;
+            }
+            for _ in 0..60 {
+                let mid = 0.5 * (near + far);
+                if mid == near || mid == far {
+                    break;
+                }
+                if branch_current(tech, &devs[i], vg, v[i], mid) < i_stack {
+                    near = mid;
+                } else {
+                    far = mid;
+                }
+            }
+            v[i + 1] = 0.5 * (near + far);
+        }
+        branch_current(tech, &devs[k - 1], gate(k - 1), v[k - 1], vout)
+    };
+
+    // Outer bisection on the stack current: residual = I_last(I) − I is
+    // strictly decreasing (larger trial current pushes v[k-1] toward the
+    // output, starving the last device).
+    let mut lo = 0.0;
+    // Upper bound: more than any fully-on stack can carry (10 mA in nA).
+    let mut hi = 1.0e7;
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
+        if walk(mid, v) > mid {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let i_star = 0.5 * (lo + hi);
+    let _ = walk(i_star, v);
+}
+
+/// Drain–source current magnitude (nA) of a device between two terminals,
+/// combining subthreshold and strong-inversion (triode/saturation-smoothed)
+/// conduction. Monotone increasing in the terminal voltage difference.
+fn branch_current(tech: &Technology, dev: &Device, vg: f64, va: f64, vb: f64) -> f64 {
+    let (vhigh, vlow) = if va >= vb { (va, vb) } else { (vb, va) };
+    let vds = vhigh - vlow;
+    if vds <= 0.0 {
+        return 0.0;
+    }
+    let vgs = match dev.mos() {
+        MosType::Nmos => vg - vlow,
+        MosType::Pmos => vhigh - vg,
+    };
+    let isub = dev.isub(tech, Voltage::new(vgs), Voltage::new(vds)).value();
+    let vt = dev.vt(tech).value();
+    let on = if vgs > vt {
+        let vdsat = vgs - vt;
+        // kΩ and volts → mA; ×1e6 → nA. Smooth triode→saturation rolloff.
+        1.0e6 / dev.r_on(tech).value() * vdsat * vds / (vds + vdsat + 1e-9)
+    } else {
+        0.0
+    };
+    isub + on
+}
+
+/// Gate-tunneling current of a device given its gate and terminal voltages.
+fn gate_current(tech: &Technology, dev: &Device, vg: f64, va: f64, vb: f64) -> Current {
+    let (vmax, vmin) = if va >= vb { (va, vb) } else { (vb, va) };
+    match dev.mos() {
+        // NMOS: source = lower terminal; positive Vgs/Vgd attract channel.
+        MosType::Nmos => dev.igate(tech, Voltage::new(vg - vmin), Voltage::new(vg - vmax)),
+        // PMOS magnitude frame: source = upper terminal.
+        MosType::Pmos => dev.igate(tech, Voltage::new(vmax - vg), Voltage::new(vmin - vg)),
+    }
+}
+
+/// `solve_stack` as it was before the fixed-point stop: always a full
+/// 80 × 60 steps. Kept verbatim as the reference the memoized,
+/// early-stopping solve is compared against bit for bit.
+#[cfg(test)]
+fn reference_solve_stack(
     tech: &Technology,
     devs: &[Device],
     roles: &[TransistorRole],
@@ -244,42 +433,6 @@ fn solve_stack(
     }
     let i_star = 0.5 * (lo + hi);
     let _ = walk(i_star, v);
-}
-
-/// Drain–source current magnitude (nA) of a device between two terminals,
-/// combining subthreshold and strong-inversion (triode/saturation-smoothed)
-/// conduction. Monotone increasing in the terminal voltage difference.
-fn branch_current(tech: &Technology, dev: &Device, vg: f64, va: f64, vb: f64) -> f64 {
-    let (vhigh, vlow) = if va >= vb { (va, vb) } else { (vb, va) };
-    let vds = vhigh - vlow;
-    if vds <= 0.0 {
-        return 0.0;
-    }
-    let vgs = match dev.mos() {
-        MosType::Nmos => vg - vlow,
-        MosType::Pmos => vhigh - vg,
-    };
-    let isub = dev.isub(tech, Voltage::new(vgs), Voltage::new(vds)).value();
-    let vt = dev.vt(tech).value();
-    let on = if vgs > vt {
-        let vdsat = vgs - vt;
-        // kΩ and volts → mA; ×1e6 → nA. Smooth triode→saturation rolloff.
-        1.0e6 / dev.r_on(tech).value() * vdsat * vds / (vds + vdsat + 1e-9)
-    } else {
-        0.0
-    };
-    isub + on
-}
-
-/// Gate-tunneling current of a device given its gate and terminal voltages.
-fn gate_current(tech: &Technology, dev: &Device, vg: f64, va: f64, vb: f64) -> Current {
-    let (vmax, vmin) = if va >= vb { (va, vb) } else { (vb, va) };
-    match dev.mos() {
-        // NMOS: source = lower terminal; positive Vgs/Vgd attract channel.
-        MosType::Nmos => dev.igate(tech, Voltage::new(vg - vmin), Voltage::new(vg - vmax)),
-        // PMOS magnitude frame: source = upper terminal.
-        MosType::Pmos => dev.igate(tech, Voltage::new(vmax - vg), Voltage::new(vmin - vg)),
-    }
 }
 
 #[cfg(test)]
@@ -493,6 +646,7 @@ mod fuzz_tests {
     //! proptest properties this module used to hold.
 
     use super::*;
+    use std::collections::HashMap;
     use svtox_exec::rng::Xoshiro256pp;
 
     fn all_kinds() -> Vec<GateKind> {
@@ -556,6 +710,73 @@ mod fuzz_tests {
             // A single gate never leaks more than a few µA in this model.
             assert!(b.total().value() < 10_000.0, "total {}", b.total());
         }
+    }
+
+    /// The memoized, early-stopping `solve_detailed` equals the reference
+    /// (a fresh fixed 80 × 60 solve per call) bit for bit: breakdown and
+    /// every device's gate current. One memo per kind serves every draw of
+    /// that kind, so later draws hit stacks earlier ones stored; and each
+    /// draw is solved again with a device of the parallel network
+    /// re-assigned, which must reuse the stack's stored voltages.
+    #[test]
+    fn memoized_solve_matches_reference() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x3e30);
+        let t = Technology::predictive_65nm();
+        let mut memos: HashMap<GateKind, StackMemo> = HashMap::new();
+        let bits = |d: &DetailedLeakage| {
+            let mut bits = vec![
+                d.breakdown.isub.value().to_bits(),
+                d.breakdown.igate.value().to_bits(),
+            ];
+            bits.extend(d.device_igate.iter().map(|c| c.value().to_bits()));
+            bits
+        };
+        // Draws whose own solve found its stack already stored, and
+        // re-solves that had to.
+        let (mut cross_hits, mut repeat_hits) = (0, 0);
+        for _ in 0..512 {
+            let (kind, sbits, vt, tox) = random_case(&mut rng);
+            let topo = CellTopology::for_kind(kind).unwrap();
+            let mut a = assignment_from(&topo, vt, tox);
+            let s = InputState::from_bits(sbits % (1 << kind.arity()), kind.arity());
+            // The reference and whether it had a stack to solve.
+            let reference = |a: &[(VtClass, OxideClass)]| {
+                let mut fresh = StackMemo::default();
+                let d = solve_detailed_by(&t, &topo, a, s, &mut fresh, reference_solve_stack);
+                (d, fresh.solves())
+            };
+            let memo = memos.entry(kind).or_default();
+
+            let solves = memo.solves();
+            let got = solve_detailed(&t, &topo, &a, s, memo);
+            let (want, stacks) = reference(&a);
+            assert_eq!(bits(&got), bits(&want), "{kind} state {s}: {a:?}");
+            if stacks > memo.solves() - solves {
+                cross_hits += 1;
+            }
+
+            let parallel = if topo.pullup().0 == NetworkKind::Parallel {
+                0
+            } else {
+                topo.pullup().1.len()
+            };
+            a[parallel].0 = match a[parallel].0 {
+                VtClass::Low => VtClass::High,
+                VtClass::High => VtClass::Low,
+            };
+            let solves = memo.solves();
+            let got = solve_detailed(&t, &topo, &a, s, memo);
+            let (want, stacks) = reference(&a);
+            assert_eq!(bits(&got), bits(&want), "{kind} state {s}: {a:?}");
+            assert_eq!(
+                memo.solves(),
+                solves,
+                "{kind}: a stored stack was solved again"
+            );
+            repeat_hits += stacks;
+        }
+        assert!(cross_hits > 20, "only {cross_hits} cross-draw hits");
+        assert!(repeat_hits > 200, "only {repeat_hits} repeat hits");
     }
 
     /// Raising one device's Vt never increases the *subthreshold*

@@ -25,7 +25,7 @@ use std::fmt;
 
 use svtox_tech::{Current, OxideClass, Technology, VtClass};
 
-use crate::solver::{solve_detailed, LeakageBreakdown};
+use crate::solver::{solve_detailed, LeakageBreakdown, StackMemo};
 use crate::state::InputState;
 use crate::topology::{CellTopology, NetworkKind};
 
@@ -143,11 +143,13 @@ pub(crate) struct GenerationConfig {
     pub igate_significance: f64,
 }
 
-/// Generates the version set and per-state options for one cell.
+/// Generates the version set and per-state options for one cell, solving
+/// through the cell's stack memo.
 pub(crate) fn generate_versions(
     tech: &Technology,
     topo: &CellTopology,
     config: GenerationConfig,
+    memo: &mut StackMemo,
 ) -> GeneratedVersions {
     let nt = topo.num_transistors();
     let arity = topo.arity();
@@ -167,7 +169,7 @@ pub(crate) fn generate_versions(
         };
         let phys = state.permuted(&perm);
         let vt_set = vt_sites(topo, phys, config.vt_site, config.uniform_stack);
-        let mut tox_set = tox_sites(tech, topo, &fast, phys, config.igate_significance);
+        let mut tox_set = tox_sites(tech, topo, &fast, phys, config.igate_significance, memo);
         if config.uniform_stack {
             expand_to_stacks(topo, &mut tox_set);
         }
@@ -194,7 +196,8 @@ pub(crate) fn generate_versions(
             if opts.iter().any(|o| o.version == vid) {
                 continue;
             }
-            let breakdown = solve_detailed(tech, topo, versions[vid].assignment(), phys).breakdown;
+            let breakdown =
+                solve_detailed(tech, topo, versions[vid].assignment(), phys, memo).breakdown;
             opts.push(GeneratedOption {
                 version: vid,
                 perm: perm.clone(),
@@ -293,8 +296,9 @@ fn tox_sites(
     fast: &[(VtClass, OxideClass)],
     phys: InputState,
     significance: f64,
+    memo: &mut StackMemo,
 ) -> Vec<usize> {
-    let detailed = solve_detailed(tech, topo, fast, phys);
+    let detailed = solve_detailed(tech, topo, fast, phys, memo);
     let mut sites = Vec::new();
     for (i, role) in topo.transistors() {
         let full = tech.igate_on(role.mos).value() * role.width;
@@ -364,7 +368,10 @@ mod tests {
         let topo = CellTopology::for_kind(kind).unwrap();
         // Exclude the synthetic all-slow entry (index 1) from the library
         // count, matching the paper's Table 2 accounting.
-        generate_versions(&tech, &topo, cfg).versions.len() - 1
+        generate_versions(&tech, &topo, cfg, &mut StackMemo::default())
+            .versions
+            .len()
+            - 1
     }
 
     /// Table 2 of the paper, 4 trade-off points. Our NOR2 comes out at 7
@@ -397,7 +404,7 @@ mod tests {
     fn options_sorted_ascending_and_fast_is_worst() {
         let tech = Technology::predictive_65nm();
         let topo = CellTopology::for_kind(GateKind::Nand(2)).unwrap();
-        let gen = generate_versions(&tech, &topo, config());
+        let gen = generate_versions(&tech, &topo, config(), &mut StackMemo::default());
         for opts in &gen.state_options {
             assert!(!opts.is_empty());
             for w in opts.windows(2) {
@@ -412,7 +419,7 @@ mod tests {
     fn nand2_state11_has_four_options() {
         let tech = Technology::predictive_65nm();
         let topo = CellTopology::for_kind(GateKind::Nand(2)).unwrap();
-        let gen = generate_versions(&tech, &topo, config());
+        let gen = generate_versions(&tech, &topo, config(), &mut StackMemo::default());
         assert_eq!(gen.state_options[0b11].len(), 4);
         // States 00/10/01 collapse to two options.
         assert_eq!(gen.state_options[0b00].len(), 2);
@@ -432,7 +439,7 @@ mod tests {
     fn min_leak_beats_fast_substantially_in_worst_state() {
         let tech = Technology::predictive_65nm();
         let topo = CellTopology::for_kind(GateKind::Nand(2)).unwrap();
-        let gen = generate_versions(&tech, &topo, config());
+        let gen = generate_versions(&tech, &topo, config(), &mut StackMemo::default());
         let opts = &gen.state_options[0b11];
         let best = opts.first().expect("nonempty").leakage;
         let fast = opts.last().expect("nonempty").leakage;
@@ -448,7 +455,7 @@ mod tests {
             uniform_stack: true,
             ..config()
         };
-        let gen = generate_versions(&tech, &topo, cfg);
+        let gen = generate_versions(&tech, &topo, cfg, &mut StackMemo::default());
         // Min-leak for state 00 must raise both stack devices.
         let best = &gen.state_options[0b00][0];
         let high_count = gen.versions[best.version]
@@ -458,7 +465,7 @@ mod tests {
             .count();
         assert_eq!(high_count, 2);
         // And it leaks no less than the individually-controlled variant.
-        let individual = generate_versions(&tech, &topo, config());
+        let individual = generate_versions(&tech, &topo, config(), &mut StackMemo::default());
         assert!(best.leakage.value() <= individual.state_options[0b00][0].leakage.value() * 1.05);
     }
 
@@ -469,7 +476,7 @@ mod tests {
         let tech = Technology::predictive_65nm();
         for kind in [GateKind::Inv, GateKind::Nand(3), GateKind::Nor(3)] {
             let topo = CellTopology::for_kind(kind).unwrap();
-            let gen = generate_versions(&tech, &topo, config());
+            let gen = generate_versions(&tech, &topo, config(), &mut StackMemo::default());
             for v in gen.versions.iter().skip(2) {
                 for &(vt, tox) in v.assignment() {
                     assert!(
@@ -489,9 +496,9 @@ mod tests {
             pin_reordering: false,
             ..config()
         };
-        let gen = generate_versions(&tech, &topo, cfg);
+        let gen = generate_versions(&tech, &topo, cfg, &mut StackMemo::default());
         // Without reordering, more versions are needed (states stop sharing)...
-        let with = generate_versions(&tech, &topo, config());
+        let with = generate_versions(&tech, &topo, config(), &mut StackMemo::default());
         assert!(gen.versions.len() >= with.versions.len());
         // ...and every perm is the identity.
         for opts in &gen.state_options {

@@ -28,6 +28,7 @@
 //! | `parse.bench_never_panics` | mutated `.bench` text: typed errors only; `Ok` implies re-emittable |
 //! | `rng.gen_index_unbiased` | empirical uniformity of the workspace's index generator |
 //! | `tech.calibration_pinned` | the DESIGN.md device ratios, width-invariant |
+//! | `cells.library_eq_solve` | a library built under random `LibraryOptions` (one stack memo per cell, fixed-point bisections) vs a fresh `solve_leakage` of every table entry and every state option on its physical state, bit for bit |
 //! | `fault.degradation_invariants` | random fault plan × random DAG: never a hang or `Failed`, incumbent verifies and stays ≤ the H1 seed |
 //! | `fault.resume_bit_identical` | mid-search kill with a checkpoint, then resume: bit-identical to the uninterrupted run at 1/2/4 workers |
 //! | `portfolio.thread_count_invariant` | the strategy portfolio at 2/4 workers vs serial: same winner, cost bits, rounds, and per-member node, leaf and incumbent-update counts |
@@ -36,7 +37,10 @@
 
 use std::time::Duration;
 
-use svtox_cells::{InputState, Library};
+use svtox_cells::{
+    solve_leakage, InputState, LeakageBreakdown, Library, LibraryOptions, TradeoffPoints,
+    VtSitePolicy,
+};
 use svtox_core::{
     BoundTracker, BranchOrder, Budget, CheckpointSpec, Cutoff, DelayPenalty, GateOrder, LeafKind,
     Mode, Plan, PortfolioOutcome, Problem, RunOutcome, Solution, Strategy,
@@ -1211,6 +1215,76 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
         ));
     }
 
+    // --- Characterization: the memoized library build vs fresh solves. --
+    if wanted("cells.library_eq_solve") {
+        let flag = || choice(&[false, true]);
+        let strategy = (
+            (flag(), flag(), flag()),
+            (flag(), int_range(2, 4), choice(&[0.1, 0.2, 0.35])),
+        );
+        reports.push(check_property(
+            "cells.library_eq_solve",
+            &strategy,
+            |&((two, uniform_stack, no_reordering), (output_adjacent, max_arity, significance))| {
+                let options = LibraryOptions {
+                    tradeoff_points: if two {
+                        TradeoffPoints::Two
+                    } else {
+                        TradeoffPoints::Four
+                    },
+                    uniform_stack,
+                    pin_reordering: !no_reordering,
+                    vt_site: if output_adjacent {
+                        VtSitePolicy::OutputAdjacent
+                    } else {
+                        VtSitePolicy::RailAdjacent
+                    },
+                    max_arity,
+                    igate_significance: significance,
+                };
+                let built = Library::new(Technology::predictive_65nm(), options)
+                    .map_err(|e| e.to_string())?;
+                let tech = built.tech();
+                let bits = |b: LeakageBreakdown, total: Current| {
+                    [b.isub, b.igate, total].map(|c| c.value().to_bits())
+                };
+                for cell in built.cells() {
+                    let kind = cell.kind();
+                    let topo = cell.topology();
+                    for v in cell.version_ids() {
+                        let assignment = cell.version(v).assignment();
+                        for state in InputState::all(cell.arity()) {
+                            let fresh = solve_leakage(tech, topo, assignment, state);
+                            let table = cell.leakage_breakdown(v, state);
+                            if bits(table, cell.leakage(v, state)) != bits(fresh, fresh.total()) {
+                                return Err(format!(
+                                    "{kind} {v} state {state}: table {table:?}, fresh solve {fresh:?}"
+                                ));
+                            }
+                        }
+                    }
+                    for state in InputState::all(cell.arity()) {
+                        for opt in cell.options_for(state) {
+                            let assignment = cell.version(opt.version()).assignment();
+                            let phys = state.permuted(opt.perm());
+                            let fresh = solve_leakage(tech, topo, assignment, phys);
+                            if bits(opt.breakdown(), opt.leakage()) != bits(fresh, fresh.total()) {
+                                return Err(format!(
+                                    "{kind} state {state} option {} perm {:?}: {:?}, fresh solve {fresh:?}",
+                                    opt.version(),
+                                    opt.perm(),
+                                    opt.breakdown()
+                                ));
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+            &scaled(0.25),
+        ));
+    }
+
     // --- Fault injection: degradation, not disaster. -------------------
     if wanted("fault.degradation_invariants") {
         let strategy = (
@@ -1720,6 +1794,7 @@ pub fn builtin_property_names() -> Vec<&'static str> {
         "parse.bench_never_panics",
         "rng.gen_index_unbiased",
         "tech.calibration_pinned",
+        "cells.library_eq_solve",
         "fault.degradation_invariants",
         "fault.resume_bit_identical",
         "portfolio.thread_count_invariant",

@@ -1398,8 +1398,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 None => Fault::disabled(),
             };
             let netlist = load_circuit_faulted(&args.target, &fault)?;
-            let lib = Library::new(Technology::predictive_65nm(), args.library)?;
-            let problem = Problem::new(&netlist, &lib, TimingConfig::default())?;
             // Observability is opt-in: a disabled handle keeps every probe
             // on the branch-only fast path.
             let obs = if args.trace.is_some() || args.metrics {
@@ -1412,6 +1410,12 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                     .map_err(|e| CliError(format!("cannot create trace file {path}: {e}")))?;
                 obs.set_sink(Box::new(sink));
             }
+            let lib = {
+                let _span = obs.span("cells.library");
+                Library::new(Technology::predictive_65nm(), args.library)?
+            };
+            obs.add("cells.stack_solves", lib.stack_solves() as u64);
+            let problem = Problem::new(&netlist, &lib, TimingConfig::default())?;
             // The improvement pass always runs under the engine: default to
             // a short budget, let --heuristic2 or --time-budget widen it.
             let budget = args

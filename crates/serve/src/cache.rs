@@ -197,7 +197,10 @@ impl SharedCaches {
         let (lib, hit) = self
             .libraries
             .get_or_build(library_key(&options), obs, || {
-                Library::new(Technology::predictive_65nm(), options)
+                let _span = obs.span("cells.library");
+                let lib = Library::new(Technology::predictive_65nm(), options)?;
+                obs.add("cells.stack_solves", lib.stack_solves() as u64);
+                Ok(lib)
             })?;
         obs.add(
             if hit {
