@@ -55,7 +55,7 @@ mod version;
 pub use error::LibraryError;
 pub use liberty::{liberty_cell_name, parse_liberty_leakage, read_liberty_leakage, to_liberty};
 pub use library::{
-    ArcTables, CellData, Library, LibraryOptions, StateOption, TradeoffPoints, VersionId,
+    ArcTables, CellData, Library, LibraryOptions, StateOption, TradeoffPoints, VersionId, MAX_ARITY,
 };
 pub use solver::{solve_leakage, LeakageBreakdown};
 pub use state::InputState;

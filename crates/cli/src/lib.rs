@@ -1415,6 +1415,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 Library::new(Technology::predictive_65nm(), args.library)?
             };
             obs.add("cells.stack_solves", lib.stack_solves() as u64);
+            obs.add("cells.arc_tables", lib.arc_tables() as u64);
             let problem = Problem::new(&netlist, &lib, TimingConfig::default())?;
             // The improvement pass always runs under the engine: default to
             // a short budget, let --heuristic2 or --time-budget widen it.

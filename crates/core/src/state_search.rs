@@ -162,6 +162,12 @@ pub(crate) fn flush_sta(obs: &Obs, sta: &Sta<'_>) {
     obs.add("sta.flushes", now.flushes);
     obs.add("sta.gates_reevaluated", now.gates_reevaluated);
     obs.raise_to("sta.max_dirty", now.max_dirty);
+    obs.add("sta.trials", now.trials);
+    obs.add("sta.trials.rejected", now.trials_rejected);
+    obs.add(
+        "sta.gates_reevaluated.rejected",
+        now.gates_reevaluated_rejected,
+    );
 }
 
 /// The simultaneous state/`Vt`/`Tox` optimizer.

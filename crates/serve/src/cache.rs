@@ -200,6 +200,7 @@ impl SharedCaches {
                 let _span = obs.span("cells.library");
                 let lib = Library::new(Technology::predictive_65nm(), options)?;
                 obs.add("cells.stack_solves", lib.stack_solves() as u64);
+                obs.add("cells.arc_tables", lib.arc_tables() as u64);
                 Ok(lib)
             })?;
         obs.add(

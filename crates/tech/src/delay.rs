@@ -108,9 +108,9 @@ impl Default for DelayKernel {
 pub struct SlewLoadGrid {
     slews: Vec<Time>,
     loads: Vec<Capacitance>,
-    /// Row-major `[slew][load]`.
-    delays: Vec<f64>,
-    out_slews: Vec<f64>,
+    /// Row-major `[slew][load]` `(delay, output slew)` points, so one
+    /// interpolation reads both values from the same four cache lines.
+    points: Vec<[f64; 2]>,
 }
 
 impl SlewLoadGrid {
@@ -159,19 +159,19 @@ impl SlewLoadGrid {
             loads.windows(2).all(|w| w[0] < w[1]),
             "load axis must be strictly increasing"
         );
-        let mut delays = Vec::with_capacity(slews.len() * loads.len());
-        let mut out_slews = Vec::with_capacity(slews.len() * loads.len());
+        let mut points = Vec::with_capacity(slews.len() * loads.len());
         for &s in &slews {
             for &l in &loads {
-                delays.push(kernel.delay(drive, l, s).value());
-                out_slews.push(kernel.output_slew(drive, l, s).value());
+                points.push([
+                    kernel.delay(drive, l, s).value(),
+                    kernel.output_slew(drive, l, s).value(),
+                ]);
             }
         }
         Self {
             slews,
             loads,
-            delays,
-            out_slews,
+            points,
         }
     }
 
@@ -204,19 +204,18 @@ impl SlewLoadGrid {
     /// give meaningless results or panic on an out-of-range index.
     #[must_use]
     pub fn lookup_at(&self, slew: AxisSegment, load: AxisSegment) -> (Time, Time) {
-        let (si, sf) = (slew.index, slew.frac);
-        let (li, lf) = (load.index, load.frac);
+        let (sf, lf) = (slew.frac, load.frac);
         let ncols = self.loads.len();
-        let at = |table: &[f64]| -> f64 {
-            let v00 = table[si * ncols + li];
-            let v01 = table[si * ncols + li + 1];
-            let v10 = table[(si + 1) * ncols + li];
-            let v11 = table[(si + 1) * ncols + li + 1];
+        let row = slew.index as usize * ncols + load.index as usize;
+        let lo = &self.points[row..row + 2];
+        let hi = &self.points[row + ncols..row + ncols + 2];
+        let at = |k: usize| -> f64 {
+            let (v00, v01, v10, v11) = (lo[0][k], lo[1][k], hi[0][k], hi[1][k]);
             let v0 = v00 + (v01 - v00) * lf;
             let v1 = v10 + (v11 - v10) * lf;
             v0 + (v1 - v0) * sf
         };
-        (Time::new(at(&self.delays)), Time::new(at(&self.out_slews)))
+        (Time::new(at(0)), Time::new(at(1)))
     }
 
     /// Whether two grids share both axes, so segments located on one
@@ -241,10 +240,13 @@ impl SlewLoadGrid {
 
 /// A query's position on one table axis: the interpolation segment and the
 /// fractional position within it (outside `[0, 1]` when extrapolating).
+///
+/// Packed to 12 bytes: timing engines cache one per stored slew and load.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed(4))]
 pub struct AxisSegment {
-    index: usize,
     frac: f64,
+    index: u32,
 }
 
 /// Finds the interpolation segment of `x` on `axis`.
@@ -260,8 +262,8 @@ fn segment<T: Copy>(axis: &[T], x: f64, value: fn(T) -> f64) -> AxisSegment {
     let lo = value(axis[i]);
     let hi = value(axis[i + 1]);
     AxisSegment {
-        index: i,
         frac: (x - lo) / (hi - lo),
+        index: i as u32,
     }
 }
 
@@ -347,6 +349,11 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_located_position_is_compact() {
+        assert_eq!(std::mem::size_of::<AxisSegment>(), 12);
     }
 
     #[test]
