@@ -36,7 +36,7 @@ cargo run --release -p svtox-cli --bin svtox -- \
   optimize c432 --threads 4 --time-budget 0.2 --checkpoint "$CKPT" --resume > /dev/null
 # Both strategies, the portfolio (the default) included, write one
 # checkpoint file, "$CKPT", that holds every member's state by slug.
-rm -f "$CKPT" "$CKPT".*
+rm -f "$CKPT"
 
 echo "==> sim bench (packed vs scalar Monte-Carlo, gated at 10x)"
 # The word-level simulator must beat the scalar reference by at least 10x
