@@ -27,6 +27,7 @@ pub struct VersionId(pub(crate) u8);
 
 impl VersionId {
     /// The raw index into the cell's version list.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -94,6 +95,7 @@ pub struct StateOption {
 
 impl StateOption {
     /// The physical version.
+    #[inline]
     #[must_use]
     pub fn version(&self) -> VersionId {
         self.version
@@ -101,12 +103,14 @@ impl StateOption {
 
     /// The pin permutation: `perm()[i]` is the logical pin routed to
     /// physical pin `i`.
+    #[inline]
     #[must_use]
     pub fn perm(&self) -> &[u8] {
         &self.perm
     }
 
     /// Leakage of the cell under this option in the option's state.
+    #[inline]
     #[must_use]
     pub fn leakage(&self) -> Current {
         self.leakage
@@ -180,6 +184,7 @@ impl CellData {
     }
 
     /// Number of input pins.
+    #[inline]
     #[must_use]
     pub fn arity(&self) -> usize {
         self.kind.arity()
@@ -245,6 +250,7 @@ impl CellData {
     /// # Panics
     ///
     /// Panics if the state arity does not match the cell.
+    #[inline]
     #[must_use]
     pub fn options_for(&self, state: InputState) -> &[StateOption] {
         assert_eq!(state.arity(), self.arity(), "state arity mismatch");
@@ -285,6 +291,7 @@ impl CellData {
     /// # Panics
     ///
     /// Panics if out of range.
+    #[inline]
     #[must_use]
     pub fn arc_physical(&self, version: VersionId, physical_pin: usize) -> ArcTables<'_> {
         let (rise, fall) = self.arcs[self.arc_slot(version, physical_pin)];
@@ -295,6 +302,7 @@ impl CellData {
     }
 
     /// The flat `[version × arity + physical pin]` index of an arc.
+    #[inline]
     fn arc_slot(&self, version: VersionId, physical_pin: usize) -> usize {
         debug_assert!(physical_pin < self.arity(), "physical pin out of range");
         version.index() * self.arity() + physical_pin
@@ -312,6 +320,7 @@ impl CellData {
     /// # Panics
     ///
     /// Panics if out of range.
+    #[inline]
     #[must_use]
     pub fn input_cap_physical(&self, version: VersionId, physical_pin: usize) -> Capacitance {
         self.input_caps[self.arc_slot(version, physical_pin)]
@@ -326,18 +335,21 @@ impl CellData {
     /// The distinct output-rise tables among every version × physical pin
     /// (equal tables listed once). A minimum over arcs' rise lookups is a
     /// minimum over these.
+    #[inline]
     #[must_use]
     pub fn rise_tables(&self) -> &[SlewLoadGrid] {
         &self.rise_tables
     }
 
     /// The distinct output-fall tables among every version × physical pin.
+    #[inline]
     #[must_use]
     pub fn fall_tables(&self) -> &[SlewLoadGrid] {
         &self.fall_tables
     }
 
     /// The smallest input capacitance any version × physical pin presents.
+    #[inline]
     #[must_use]
     pub fn min_input_cap(&self) -> Capacitance {
         self.min_input_cap

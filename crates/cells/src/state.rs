@@ -63,12 +63,14 @@ impl InputState {
     }
 
     /// The raw bitmask.
+    #[inline]
     #[must_use]
     pub fn bits(self) -> u16 {
         self.bits
     }
 
     /// The number of pins.
+    #[inline]
     #[must_use]
     pub fn arity(self) -> usize {
         self.arity as usize

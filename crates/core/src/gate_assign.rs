@@ -347,8 +347,7 @@ fn descend(
         if pruned {
             continue; // prune this option (others may still fit)
         }
-        sta.set_option(gid, opt.version(), opt.perm());
-        sta.set_relaxed(gid, false);
+        sta.decide(gid, opt.version(), opt.perm());
         if sta.max_delay() > budget_eps {
             sta.set_relaxed(gid, true);
             continue;

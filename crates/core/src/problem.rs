@@ -1,9 +1,7 @@
 //! The optimization problem: netlist + library + delay normalization +
 //! precomputed per-mode option tables.
 
-use std::collections::HashMap;
-
-use svtox_cells::{InputState, Library, StateOption};
+use svtox_cells::{CellData, InputState, Library, StateOption};
 use svtox_netlist::{GateId, GateKind, Netlist};
 use svtox_sta::{Sta, TimingConfig};
 use svtox_tech::{Current, OxideClass, Time};
@@ -88,6 +86,38 @@ struct KindTable {
     bound_offset: [usize; 3],
 }
 
+/// One gate kind's option tables and library cell.
+#[derive(Debug, Clone)]
+struct KindEntry<'a> {
+    table: KindTable,
+    cell: &'a CellData,
+}
+
+/// A dense index over the gate kinds of arity at most
+/// [`GateKind::MAX_ARITY`]; wider kinds, which no library holds, map past
+/// every slot.
+fn kind_slot(kind: GateKind) -> usize {
+    const WIDTHS: usize = GateKind::MAX_ARITY + 1;
+    let family = |base: usize, n: u8| {
+        let n = usize::from(n);
+        if n < WIDTHS {
+            4 + base * WIDTHS + n
+        } else {
+            usize::MAX
+        }
+    };
+    match kind {
+        GateKind::Inv => 0,
+        GateKind::Buf => 1,
+        GateKind::Xor2 => 2,
+        GateKind::Xnor2 => 3,
+        GateKind::Nand(n) => family(0, n),
+        GateKind::Nor(n) => family(1, n),
+        GateKind::And(n) => family(2, n),
+        GateKind::Or(n) => family(3, n),
+    }
+}
+
 /// A fully-specified optimization problem.
 ///
 /// Construction runs the two reference timing analyses (`D_fast`, `D_slow`)
@@ -101,7 +131,8 @@ pub struct Problem<'a> {
     timing: TimingConfig,
     d_fast: Time,
     d_slow: Time,
-    tables: HashMap<GateKind, KindTable>,
+    /// By [`kind_slot`]: the entry of every kind in the netlist.
+    tables: Vec<Option<KindEntry<'a>>>,
     /// Every (kind, mode) tri-level bound table, back to back; see
     /// [`Problem::bound_table`].
     bound_tables: Vec<f64>,
@@ -126,19 +157,24 @@ impl<'a> Problem<'a> {
         sta.set_all_slow();
         let d_slow = sta.max_delay();
 
-        let mut tables = HashMap::new();
+        let mut tables: Vec<Option<KindEntry<'a>>> = Vec::new();
         let mut bound_tables = Vec::new();
         for (_, gate) in netlist.gates() {
             let kind = gate.kind();
-            if tables.contains_key(&kind) {
+            let slot = kind_slot(kind);
+            if tables.get(slot).is_some_and(Option::is_some) {
                 continue;
             }
-            let mut table = Self::build_table(library, kind)?;
+            let cell = library.cell(kind)?;
+            let mut table = Self::build_table(cell);
             for (offset, min_leak) in table.bound_offset.iter_mut().zip(&table.min_leak) {
                 *offset = bound_tables.len();
                 bound_tables.extend(tri_level_bounds(min_leak, kind.arity()));
             }
-            tables.insert(kind, table);
+            if tables.len() <= slot {
+                tables.resize_with(slot + 1, || None);
+            }
+            tables[slot] = Some(KindEntry { table, cell });
         }
         let tfo = transitive_fanouts(netlist);
         Ok(Self {
@@ -153,9 +189,8 @@ impl<'a> Problem<'a> {
         })
     }
 
-    fn build_table(library: &Library, kind: GateKind) -> Result<KindTable, OptError> {
-        let cell = library.cell(kind)?;
-        let arity = kind.arity();
+    fn build_table(cell: &CellData) -> KindTable {
+        let arity = cell.arity();
         let nstates = 1usize << arity;
         let mut allowed: [Vec<Vec<u8>>; 3] = std::array::from_fn(|_| Vec::with_capacity(nstates));
         let mut min_leak: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(nstates));
@@ -190,13 +225,13 @@ impl<'a> Problem<'a> {
                 min_leak[mi].push(min);
             }
         }
-        Ok(KindTable {
+        KindTable {
             allowed,
             min_leak,
             fast_leak,
             fast_index,
             bound_offset: [0; 3],
-        })
+        }
     }
 
     /// The netlist.
@@ -292,10 +327,13 @@ impl<'a> Problem<'a> {
     /// Panics if the index is out of range.
     #[must_use]
     pub fn option(&self, kind: GateKind, state: InputState, index: u8) -> &'a StateOption {
-        let cell = self
-            .library
-            .cell(kind)
-            .expect("problem construction validated all kinds");
+        let cell = match self.entry(kind) {
+            Some(entry) => entry.cell,
+            None => self
+                .library
+                .cell(kind)
+                .expect("problem construction validated all kinds"),
+        };
         &cell.options_for(state)[index as usize]
     }
 
@@ -305,10 +343,15 @@ impl<'a> Problem<'a> {
         &self.tfo[input_index]
     }
 
+    fn entry(&self, kind: GateKind) -> Option<&KindEntry<'a>> {
+        self.tables.get(kind_slot(kind))?.as_ref()
+    }
+
     fn table(&self, kind: GateKind) -> &KindTable {
-        self.tables
-            .get(&kind)
+        &self
+            .entry(kind)
             .expect("problem construction covered every kind in the netlist")
+            .table
     }
 }
 
@@ -492,5 +535,78 @@ mod tests {
         let total: usize = (0..n.num_inputs()).map(|i| p.tfo(i).len()).sum();
         assert!(total >= n.num_gates());
         assert!(total <= n.num_gates() * n.num_inputs());
+    }
+
+    #[test]
+    fn dense_tables_equal_a_fresh_build_per_kind() {
+        let lib = Library::new(Technology::predictive_65nm(), LibraryOptions::default()).unwrap();
+        for name in svtox_netlist::generators::benchmark_names() {
+            let n = benchmark(name).unwrap();
+            let p = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+            let kinds: std::collections::BTreeSet<GateKind> =
+                n.gates().map(|(_, g)| g.kind()).collect();
+            for kind in kinds {
+                let cell = lib.cell(kind).unwrap();
+                let fresh = Problem::build_table(cell);
+                for state in InputState::all(kind.arity()) {
+                    let bits = state.bits() as usize;
+                    for (mi, mode) in Mode::ALL.into_iter().enumerate() {
+                        assert_eq!(mode_index(mode), mi);
+                        assert_eq!(p.allowed(kind, state, mode), fresh.allowed[mi][bits]);
+                        assert_eq!(
+                            p.min_leak(kind, state, mode).value().to_bits(),
+                            fresh.min_leak[mi][bits].to_bits(),
+                            "{name} {kind} {state}"
+                        );
+                    }
+                    assert_eq!(
+                        p.fast_leak(kind, state).value().to_bits(),
+                        fresh.fast_leak[bits].to_bits()
+                    );
+                    assert_eq!(p.fast_index(kind, state), fresh.fast_index[bits]);
+                    for (index, opt) in cell.options_for(state).iter().enumerate() {
+                        assert!(std::ptr::eq(p.option(kind, state, index as u8), opt));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "problem construction covered every kind in the netlist")]
+    fn a_kind_absent_from_the_netlist_panics() {
+        let (n, lib) = setup();
+        let p = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+        assert!(n.gates().all(|(_, g)| g.kind() != GateKind::Nor(4)));
+        let _ = p.allowed(
+            GateKind::Nor(4),
+            InputState::from_bits(0, 4),
+            Mode::Proposed,
+        );
+    }
+
+    #[test]
+    fn kind_slots_are_distinct() {
+        let mut kinds = vec![
+            GateKind::Inv,
+            GateKind::Buf,
+            GateKind::Xor2,
+            GateKind::Xnor2,
+        ];
+        for n in 2..=GateKind::MAX_ARITY as u8 {
+            kinds.extend([
+                GateKind::Nand(n),
+                GateKind::Nor(n),
+                GateKind::And(n),
+                GateKind::Or(n),
+            ]);
+        }
+        let slots: std::collections::BTreeSet<usize> =
+            kinds.iter().map(|&k| kind_slot(k)).collect();
+        assert_eq!(slots.len(), kinds.len());
+        assert_eq!(
+            kind_slot(GateKind::Nand(GateKind::MAX_ARITY as u8 + 1)),
+            usize::MAX
+        );
     }
 }

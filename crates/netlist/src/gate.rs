@@ -37,6 +37,7 @@ pub enum GateKind {
 
 impl GateKind {
     /// Number of inputs this kind expects.
+    #[inline]
     #[must_use]
     pub fn arity(self) -> usize {
         match self {

@@ -25,6 +25,7 @@ pub struct NetId(pub(crate) u32);
 
 impl NetId {
     /// The raw index.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -43,6 +44,7 @@ pub struct GateId(pub(crate) u32);
 
 impl GateId {
     /// The raw index.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -101,6 +103,7 @@ pub struct GateRef<'a> {
 
 impl<'a> GateRef<'a> {
     /// The logic function.
+    #[inline]
     #[must_use]
     pub fn kind(&self) -> GateKind {
         self.kind

@@ -300,6 +300,58 @@ impl LevelQueue {
     }
 }
 
+/// One relaxed gate input's floor, with the positions it was computed at.
+///
+/// A relaxed floor reads only the cell's distinct tables (fixed per gate)
+/// at the input's two slew positions and the output load's position, never
+/// the gate's version or routing, so a slot whose positions equal the
+/// current ones bit for bit holds exactly what a fresh computation returns.
+#[derive(Debug, Clone, Copy)]
+struct FloorSlot {
+    /// The input's rise and fall slew positions and the output load's.
+    at: [AxisSegment; 3],
+    floor: InputFloor,
+}
+
+/// Per logical input of a relaxed gate: the minimum delay and output slew
+/// over the cell's distinct rise tables (at the input's fall slew) and
+/// fall tables (at its rise slew).
+#[derive(Debug, Clone, Copy)]
+struct InputFloor {
+    d_rise: Time,
+    slew_rise: Time,
+    d_fall: Time,
+    slew_fall: Time,
+}
+
+impl InputFloor {
+    fn compute(
+        cell: &CellData,
+        rise_at: AxisSegment,
+        fall_at: AxisSegment,
+        load: AxisSegment,
+    ) -> Self {
+        let inf = Time::new(f64::INFINITY);
+        let mut floor = Self {
+            d_rise: inf,
+            slew_rise: inf,
+            d_fall: inf,
+            slew_fall: inf,
+        };
+        for table in cell.rise_tables() {
+            let (d, slew) = table.lookup_at(fall_at, load);
+            floor.d_rise = floor.d_rise.min(d);
+            floor.slew_rise = floor.slew_rise.min(slew);
+        }
+        for table in cell.fall_tables() {
+            let (d, slew) = table.lookup_at(rise_at, load);
+            floor.d_fall = floor.d_fall.min(d);
+            floor.slew_fall = floor.slew_fall.min(slew);
+        }
+        floor
+    }
+}
+
 /// A gate's configuration and relaxation, saved for an undo.
 #[derive(Debug, Clone, Copy)]
 struct SavedGate {
@@ -372,6 +424,10 @@ pub struct Sta<'a> {
     queued: Vec<bool>,
     queue: LevelQueue,
     undo: UndoLog,
+    /// Per fan-in pin (indexed like `graph.fanin`), the last floor a
+    /// relaxed evaluation computed there. Empty until some gate is
+    /// evaluated relaxed.
+    floor_memo: Vec<Option<FloorSlot>>,
     counters: StaCounters,
 }
 
@@ -505,6 +561,7 @@ impl<'a> Sta<'a> {
             load_at: vec![axes.load_segment(Capacitance::ZERO); nets],
             queued: vec![false; gates],
             undo: UndoLog::new(netlist),
+            floor_memo: Vec::new(),
             counters: StaCounters::default(),
         })
     }
@@ -558,6 +615,23 @@ impl<'a> Sta<'a> {
         }
         self.write_config(g, version, perm);
         self.reconfigured(gate);
+    }
+
+    /// Reconfigures one gate to a version and pin permutation and
+    /// un-relaxes it: [`Sta::set_option`] followed by
+    /// [`Sta::set_relaxed`]`(gate, false)`, bit for bit, with one
+    /// re-scheduling instead of two. The timing update is deferred to the
+    /// next query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or the permutation arity mismatches.
+    pub fn decide(&mut self, gate: GateId, version: VersionId, perm: &[u8]) {
+        let g = gate.index();
+        assert_eq!(perm.len(), self.graph.fanin(g).len(), "perm arity mismatch");
+        if !self.is_decided_as(g, version, perm) {
+            self.write_decided(gate, version, perm);
+        }
     }
 
     /// Tries one gate at a version and pin permutation against a delay
@@ -896,12 +970,9 @@ impl<'a> Sta<'a> {
         assert_eq!(perm.len(), self.graph.fanin(g).len(), "perm arity mismatch");
         self.flush();
         self.undo.trial_gate = None;
-        let cfg = &self.gate_configs[g];
-        if cfg.version != version || cfg.perm != perm || self.relaxed[g] {
+        if !self.is_decided_as(g, version, perm) {
             self.undo.trial_gate = Some(self.saved_gate(gate));
-            self.write_config(g, version, perm);
-            self.relaxed[g] = false;
-            self.reconfigured(gate);
+            self.write_decided(gate, version, perm);
         }
         self.counters.trials += 1;
         let evaluated = self.counters.gates_reevaluated;
@@ -915,6 +986,20 @@ impl<'a> Sta<'a> {
         }
         self.undo.trial_timing.clear();
         accepted
+    }
+
+    /// Whether a gate is un-relaxed at exactly this version and routing.
+    fn is_decided_as(&self, g: usize, version: VersionId, perm: &[u8]) -> bool {
+        let cfg = &self.gate_configs[g];
+        cfg.version == version && cfg.perm == perm && !self.relaxed[g]
+    }
+
+    /// Writes a version and routing, un-relaxes the gate and schedules its
+    /// re-evaluation once.
+    fn write_decided(&mut self, gate: GateId, version: VersionId, perm: &[u8]) {
+        self.write_config(gate.index(), version, perm);
+        self.relaxed[gate.index()] = false;
+        self.reconfigured(gate);
     }
 
     /// A gate's current configuration and relaxation.
@@ -1038,7 +1123,7 @@ impl<'a> Sta<'a> {
     /// Computes a gate's output timing from its fanin timing. Every arc
     /// table of the library shares its axes, so the evaluation reads the
     /// positions located when each input slew and the load were stored.
-    fn evaluate_gate(&self, g: usize) -> Timing {
+    fn evaluate_gate(&mut self, g: usize) -> Timing {
         if self.relaxed[g] {
             return self.evaluate_gate_relaxed(g);
         }
@@ -1079,31 +1164,38 @@ impl<'a> Sta<'a> {
     /// lookups (monotone in input slew) lower bounds as well — except
     /// where a concrete gate downstream switches to a later input's larger
     /// slew (DESIGN.md §5).
-    fn evaluate_gate_relaxed(&self, g: usize) -> Timing {
+    ///
+    /// Each input's floor is memoized by its slew positions and the load's
+    /// (see [`FloorSlot`]); a hit returns the bits a miss would compute,
+    /// and minima over the same operands do not depend on their order.
+    fn evaluate_gate_relaxed(&mut self, g: usize) -> Timing {
+        if self.floor_memo.is_empty() {
+            self.floor_memo = vec![None; self.graph.fanin.len()];
+        }
         let cell = self.cells[g];
         let load = self.load_at[self.graph.gate_out[g].index()];
+        let inf = Time::new(f64::INFINITY);
         let mut out = Timing {
-            arr_rise: Time::new(f64::NEG_INFINITY),
-            arr_fall: Time::new(f64::NEG_INFINITY),
-            slew_rise: Time::new(f64::INFINITY),
-            slew_fall: Time::new(f64::INFINITY),
+            arr_rise: -inf,
+            arr_fall: -inf,
+            slew_rise: inf,
+            slew_fall: inf,
         };
-        for &inp in self.graph.fanin(g) {
-            let t_in = &self.timing[inp.index()];
-            let mut d_rise = Time::new(f64::INFINITY);
-            for table in cell.rise_tables() {
-                let (d, slew) = table.lookup_at(t_in.fall_at, load);
-                d_rise = d_rise.min(d);
-                out.slew_rise = out.slew_rise.min(slew);
-            }
-            let mut d_fall = Time::new(f64::INFINITY);
-            for table in cell.fall_tables() {
-                let (d, slew) = table.lookup_at(t_in.rise_at, load);
-                d_fall = d_fall.min(d);
-                out.slew_fall = out.slew_fall.min(slew);
-            }
-            out.arr_rise = out.arr_rise.max(t_in.value.arr_fall + d_rise);
-            out.arr_fall = out.arr_fall.max(t_in.value.arr_rise + d_fall);
+        for k in self.graph.fanin_start[g] as usize..self.graph.fanin_start[g + 1] as usize {
+            let t_in = &self.timing[self.graph.fanin[k].index()];
+            let at = [t_in.rise_at, t_in.fall_at, load];
+            let floor = match &mut self.floor_memo[k] {
+                Some(slot) if same_positions(&slot.at, &at) => slot.floor,
+                slot => {
+                    let floor = InputFloor::compute(cell, t_in.rise_at, t_in.fall_at, load);
+                    *slot = Some(FloorSlot { at, floor });
+                    floor
+                }
+            };
+            out.slew_rise = out.slew_rise.min(floor.slew_rise);
+            out.slew_fall = out.slew_fall.min(floor.slew_fall);
+            out.arr_rise = out.arr_rise.max(t_in.value.arr_fall + floor.d_rise);
+            out.arr_fall = out.arr_fall.max(t_in.value.arr_rise + floor.d_fall);
         }
         out
     }
@@ -1118,6 +1210,13 @@ impl<'a> Sta<'a> {
         let (d_rise, _) = arc.rise.lookup_at(t_in.fall_at, load);
         let (d_fall, _) = arc.fall.lookup_at(t_in.rise_at, load);
         d_rise.max(d_fall)
+    }
+
+    /// Drops every memoized relaxed floor, so the next relaxed evaluations
+    /// compute theirs afresh.
+    #[cfg(test)]
+    fn clear_floor_memo(&mut self) {
+        self.floor_memo.clear();
     }
 
     /// Recomputes the capacitive load on a net from its consumers, and
@@ -1143,6 +1242,11 @@ impl<'a> Sta<'a> {
         self.loads[net] = load;
         self.load_at[net] = self.axes.load_segment(load);
     }
+}
+
+/// Whether two position triples are equal bit for bit.
+fn same_positions(a: &[AxisSegment; 3], b: &[AxisSegment; 3]) -> bool {
+    a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// A scope of greedy trials on one analyzer, opened by [`Sta::leaf`].
@@ -1785,6 +1889,106 @@ mod tests {
                     sta.gate_config(gid),
                     &GateConfig::identity(fast, gate.kind().arity())
                 );
+            }
+        }
+    }
+
+    /// Drives the same random `set_option` / `decide` / `set_relaxed` /
+    /// `max_delay` sequence on `sta` and on a copy that clears its floor
+    /// memo before every query, asserting equal bits and counters after
+    /// every step.
+    fn assert_memo_is_invisible(lib: &Library, n: &Netlist, sta: Sta<'_>, seed: u64) {
+        let mut sta = sta;
+        let mut cold = sta.clone();
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        for step in 0..400 {
+            let gid = n.topo_order()[rng.gen_index(n.num_gates())];
+            let opt = random_option(lib, n, gid, &mut rng);
+            for a in [&mut sta, &mut cold] {
+                match step % 5 {
+                    0 | 1 => a.set_relaxed(gid, true),
+                    2 => a.set_relaxed(gid, false),
+                    3 => a.set_option(gid, opt.version(), opt.perm()),
+                    _ => a.decide(gid, opt.version(), opt.perm()),
+                }
+            }
+            if step % 3 == 0 {
+                cold.clear_floor_memo();
+                let (a, b) = (sta.max_delay(), cold.max_delay());
+                assert_eq!(a.value().to_bits(), b.value().to_bits(), "step {step}");
+            }
+            cold.clear_floor_memo();
+            assert_eq!(sta.net_bits(), cold.net_bits(), "step {step}");
+            assert_eq!(sta.counters(), cold.counters(), "step {step}");
+        }
+        assert!(!sta.floor_memo.is_empty(), "no gate was evaluated relaxed");
+    }
+
+    #[test]
+    fn the_floor_memo_never_changes_a_bit() {
+        let lib = library();
+        let n = benchmark("c880").unwrap();
+        let sta = Sta::new(&n, &lib, TimingConfig::default()).unwrap();
+        // The memo lives only on analyzers that relax a gate.
+        assert!(sta.floor_memo.is_empty());
+        assert_memo_is_invisible(&lib, &n, sta.clone(), 31);
+
+        // A clone carries a warm memo along.
+        let mut warm = Sta::new(&n, &lib, TimingConfig::default()).unwrap();
+        for (gid, _) in n.gates().step_by(2) {
+            warm.set_relaxed(gid, true);
+        }
+        warm.max_delay();
+        assert!(!warm.floor_memo.is_empty());
+        assert_memo_is_invisible(&lib, &n, warm.clone(), 37);
+
+        // An incremental analyzer carries relaxed flags but starts with no
+        // memo of its own.
+        use svtox_netlist::EditScript;
+        let mut edited = n.clone();
+        let pi0 = edited.net(edited.inputs()[0]).name().to_string();
+        let pi1 = edited.net(edited.inputs()[1]).name().to_string();
+        let script = EditScript::parse(&format!("add eco_t0 = NAND({pi0}, {pi1})\n")).unwrap();
+        let trace = script.apply(&mut edited).unwrap();
+        let dirty = edited.take_dirty();
+        let inc = Sta::new_incremental(
+            &edited,
+            &lib,
+            TimingConfig::default(),
+            &mut warm,
+            &trace.gate_map,
+            &trace.net_map,
+            &dirty,
+        )
+        .unwrap();
+        assert!(inc.floor_memo.is_empty());
+        assert!(edited.gates().any(|(gid, _)| inc.is_relaxed(gid)));
+        assert_memo_is_invisible(&lib, &edited, inc, 41);
+    }
+
+    #[test]
+    fn decide_is_set_option_then_unrelax() {
+        let lib = library();
+        let n = benchmark("c432").unwrap();
+        let mut two_steps = Sta::new(&n, &lib, TimingConfig::default()).unwrap();
+        let mut decided = two_steps.clone();
+        let mut rng = Xoshiro256pp::seed_from_u64(43);
+        for step in 0..300 {
+            let gid = n.topo_order()[rng.gen_index(n.num_gates())];
+            if rng.gen_bool(0.4) {
+                two_steps.set_relaxed(gid, true);
+                decided.set_relaxed(gid, true);
+            } else {
+                let opt = random_option(&lib, &n, gid, &mut rng);
+                two_steps.set_option(gid, opt.version(), opt.perm());
+                two_steps.set_relaxed(gid, false);
+                decided.decide(gid, opt.version(), opt.perm());
+            }
+            assert_eq!(two_steps.gate_config(gid), decided.gate_config(gid));
+            assert_eq!(two_steps.is_relaxed(gid), decided.is_relaxed(gid));
+            if step % 4 == 0 {
+                assert_eq!(two_steps.net_bits(), decided.net_bits(), "step {step}");
+                assert_eq!(two_steps.counters(), decided.counters(), "step {step}");
             }
         }
     }

@@ -185,12 +185,14 @@ impl SlewLoadGrid {
     }
 
     /// Locates an input slew on the slew axis.
+    #[inline]
     #[must_use]
     pub fn slew_segment(&self, input_slew: Time) -> AxisSegment {
         segment(&self.slews, input_slew.value(), Time::value)
     }
 
     /// Locates an output load on the load axis.
+    #[inline]
     #[must_use]
     pub fn load_segment(&self, load: Capacitance) -> AxisSegment {
         segment(&self.loads, load.value(), Capacitance::value)
@@ -202,6 +204,7 @@ impl SlewLoadGrid {
     ///
     /// The segments must be located on a grid over the same axes; others
     /// give meaningless results or panic on an out-of-range index.
+    #[inline]
     #[must_use]
     pub fn lookup_at(&self, slew: AxisSegment, load: AxisSegment) -> (Time, Time) {
         let (sf, lf) = (slew.frac, load.frac);
@@ -249,7 +252,19 @@ pub struct AxisSegment {
     index: u32,
 }
 
+impl AxisSegment {
+    /// The position's bits: equal bits are the same position, so every
+    /// lookup at two bit-equal positions returns the same bits.
+    #[inline]
+    #[must_use]
+    pub fn to_bits(self) -> (u64, u32) {
+        let Self { frac, index } = self;
+        (frac.to_bits(), index)
+    }
+}
+
 /// Finds the interpolation segment of `x` on `axis`.
+#[inline]
 fn segment<T: Copy>(axis: &[T], x: f64, value: fn(T) -> f64) -> AxisSegment {
     let n = axis.len();
     let mut i = n - 2;

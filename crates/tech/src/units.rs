@@ -20,42 +20,49 @@ macro_rules! unit {
             pub const ZERO: Self = Self(0.0);
 
             /// Creates a value from the raw magnitude in this unit's scale.
+            #[inline]
             #[must_use]
             pub const fn new(value: f64) -> Self {
                 Self(value)
             }
 
             /// Returns the raw magnitude in this unit's scale.
+            #[inline]
             #[must_use]
             pub const fn value(self) -> f64 {
                 self.0
             }
 
             /// Returns the absolute value.
+            #[inline]
             #[must_use]
             pub fn abs(self) -> f64 {
                 self.0.abs()
             }
 
             /// Returns `true` if the magnitude is a finite number.
+            #[inline]
             #[must_use]
             pub fn is_finite(self) -> bool {
                 self.0.is_finite()
             }
 
             /// Returns the larger of `self` and `other`.
+            #[inline]
             #[must_use]
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
             }
 
             /// Returns the smaller of `self` and `other`.
+            #[inline]
             #[must_use]
             pub fn min(self, other: Self) -> Self {
                 Self(self.0.min(other.0))
             }
 
             /// Clamps the value into `[lo, hi]`.
+            #[inline]
             #[must_use]
             pub fn clamp(self, lo: Self, hi: Self) -> Self {
                 Self(self.0.clamp(lo.0, hi.0))
@@ -74,12 +81,14 @@ macro_rules! unit {
 
         impl Add for $name {
             type Output = Self;
+            #[inline]
             fn add(self, rhs: Self) -> Self {
                 Self(self.0 + rhs.0)
             }
         }
 
         impl AddAssign for $name {
+            #[inline]
             fn add_assign(&mut self, rhs: Self) {
                 self.0 += rhs.0;
             }
@@ -87,12 +96,14 @@ macro_rules! unit {
 
         impl Sub for $name {
             type Output = Self;
+            #[inline]
             fn sub(self, rhs: Self) -> Self {
                 Self(self.0 - rhs.0)
             }
         }
 
         impl SubAssign for $name {
+            #[inline]
             fn sub_assign(&mut self, rhs: Self) {
                 self.0 -= rhs.0;
             }
@@ -100,6 +111,7 @@ macro_rules! unit {
 
         impl Neg for $name {
             type Output = Self;
+            #[inline]
             fn neg(self) -> Self {
                 Self(-self.0)
             }
@@ -107,6 +119,7 @@ macro_rules! unit {
 
         impl Mul<f64> for $name {
             type Output = Self;
+            #[inline]
             fn mul(self, rhs: f64) -> Self {
                 Self(self.0 * rhs)
             }
@@ -114,6 +127,7 @@ macro_rules! unit {
 
         impl Mul<$name> for f64 {
             type Output = $name;
+            #[inline]
             fn mul(self, rhs: $name) -> $name {
                 $name(self * rhs.0)
             }
@@ -121,6 +135,7 @@ macro_rules! unit {
 
         impl Div<f64> for $name {
             type Output = Self;
+            #[inline]
             fn div(self, rhs: f64) -> Self {
                 Self(self.0 / rhs)
             }
@@ -129,6 +144,7 @@ macro_rules! unit {
         impl Div<$name> for $name {
             /// Ratio of two same-unit quantities is dimensionless.
             type Output = f64;
+            #[inline]
             fn div(self, rhs: $name) -> f64 {
                 self.0 / rhs.0
             }
@@ -141,6 +157,7 @@ macro_rules! unit {
         }
 
         impl From<f64> for $name {
+            #[inline]
             fn from(value: f64) -> Self {
                 Self(value)
             }
