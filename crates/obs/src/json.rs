@@ -144,15 +144,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array and object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the limit bounds its stack use on untrusted
+/// input; the documents this workspace writes nest a few levels deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] with the failing byte offset on malformed input.
+/// Returns [`JsonError`] with the failing byte offset on malformed input,
+/// or on arrays and objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError {
@@ -186,8 +192,16 @@ fn expect(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+/// Parses one value; `depth` more levels of arrays and objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     skip_ws(bytes, pos);
+    let opens = matches!(bytes.get(*pos), Some(b'[' | b'{'));
+    if opens && depth == 0 {
+        return Err(JsonError {
+            offset: *pos,
+            message: "arrays and objects nested too deeply",
+        });
+    }
     match bytes.get(*pos) {
         None => Err(JsonError {
             offset: *pos,
@@ -215,7 +229,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -245,7 +259,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b":", "expected `:` after object key")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -397,6 +411,21 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         let err = parse("[1, x]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, "arrays and objects nested too deeply");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        // Far past the limit, the parser stops at the limit instead of
+        // recursing once per level.
+        let err = parse(&nested(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

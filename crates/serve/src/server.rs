@@ -1117,6 +1117,34 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_bodies_are_refused_and_the_server_keeps_serving() {
+        let handle = start(test_config()).unwrap();
+        let addr = handle.addr().to_string();
+        // Far past json::MAX_DEPTH: a parser recursing once per level
+        // would overflow its connection thread's stack and abort.
+        let levels = 100_000;
+        let body = "[".repeat(levels) + &"]".repeat(levels);
+        let response = post_json(&addr, "/jobs", &body);
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(
+            response.body.contains("nested too deeply"),
+            "{}",
+            response.body
+        );
+        let response = post_json(&addr, "/jobs", r#"{"circuit":"c432","deadline_ms":100}"#);
+        assert_eq!(response.status, 202, "{}", response.body);
+        let id = json::parse(&response.body)
+            .unwrap()
+            .get("id")
+            .and_then(json::Value::as_f64)
+            .unwrap() as u64;
+        let doc = wait_done(&addr, id);
+        let outcome = doc.get("outcome").and_then(|v| v.as_str()).unwrap();
+        assert!(outcome == "complete" || outcome == "degraded", "{doc}");
+        handle.shutdown();
+    }
+
+    #[test]
     fn admission_control_rejects_beyond_queue_depth() {
         let config = ServerConfig {
             runners: 1,
