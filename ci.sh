@@ -23,6 +23,15 @@ echo "==> property check (svtox-check differential oracles)"
 cargo run --release -p svtox-cli --bin svtox -- \
   check --cases 64 --seed 4 --threads 4 --corpus tests/corpus
 
+echo "==> deeper property check of the exact-tree kernel (fresh seed)"
+# The exact gate tree's leaves and the incremental STA under them (the
+# relaxed-floor memo, one reconfiguration per node) get four times the
+# cases at a seed the step above does not use.
+cargo run --release -p svtox-cli --bin svtox -- \
+  check --cases 256 --seed 5 --threads 4 --property core.leaf
+cargo run --release -p svtox-cli --bin svtox -- \
+  check --cases 256 --seed 5 --threads 4 --property sta.
+
 echo "==> chaos scenarios (fault injection, asserted degradation invariants)"
 # Any violated invariant makes the subcommand exit non-zero.
 cargo run --release -p svtox-cli --bin svtox -- \
