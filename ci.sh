@@ -31,6 +31,10 @@ cargo run --release -p svtox-cli --bin svtox -- \
   check --cases 256 --seed 5 --threads 4 --property core.leaf
 cargo run --release -p svtox-cli --bin svtox -- \
   check --cases 256 --seed 5 --threads 4 --property sta.
+# Problem::tfo's support-word sweep against the per-input DFS reference,
+# on DAGs whose input counts cross the 64- and 128-input block edges.
+cargo run --release -p svtox-cli --bin svtox -- \
+  check --cases 256 --seed 5 --threads 4 --property core.tfo
 
 echo "==> chaos scenarios (fault injection, asserted degradation invariants)"
 # Any violated invariant makes the subcommand exit non-zero.

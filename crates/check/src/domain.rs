@@ -10,7 +10,7 @@ use svtox_cells::{InputState, Library, LibraryOptions};
 use svtox_core::{DelayPenalty, Mode};
 use svtox_exec::rng::Xoshiro256pp;
 use svtox_netlist::generators::{random_dag, RandomDagSpec};
-use svtox_netlist::{EditOp, EditScript, Netlist, NetlistBuilder};
+use svtox_netlist::{EditOp, EditScript, GateKind, Netlist, NetlistBuilder};
 use svtox_tech::Technology;
 
 use crate::strategy::Strategy;
@@ -62,6 +62,63 @@ pub fn circuit(name: &str, inputs: usize, gates: usize, depth: usize) -> (Netlis
         random_dag(&spec).expect("valid spec generates"),
         test_library(),
     )
+}
+
+/// `inputs` primary inputs, each driving one inverter whose output is a
+/// primary output: the widest shape per gate the state tree can meet.
+///
+/// # Panics
+///
+/// Panics if `inputs` is 0.
+#[must_use]
+pub fn inverter_array(inputs: usize) -> Netlist {
+    let mut b = NetlistBuilder::new(format!("inv{inputs}"));
+    for k in 0..inputs {
+        let pi = b.add_input(format!("a{k}"));
+        let y = b
+            .add_gate_named(GateKind::Inv, &[pi], format!("y{k}"))
+            .expect("an inverter on a fresh input");
+        b.mark_output(y);
+    }
+    b.finish().expect("a non-empty inverter array is valid")
+}
+
+/// `n` with extra primary inputs that feed no gate, interleaved among its
+/// own, and with some inputs, old and new, also marked primary outputs.
+/// Gates, fan-ins and the original outputs are unchanged.
+///
+/// # Panics
+///
+/// Panics if `n` violates its own invariants.
+#[must_use]
+pub fn with_idle_inputs(n: &Netlist, seed: u64) -> Netlist {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut b = NetlistBuilder::new(n.name());
+    for (_, net) in n.nets() {
+        b.declare_net(net.name());
+    }
+    let mut inputs = Vec::new();
+    for &pi in n.inputs() {
+        while rng.gen_index(4) == 0 {
+            inputs.push(b.add_input(format!("idle{}", inputs.len())));
+        }
+        b.promote_to_input(pi).expect("inputs are undriven");
+        inputs.push(pi);
+    }
+    inputs.push(b.add_input("idle_last"));
+    for (_, g) in n.gates() {
+        b.add_gate_driving(g.kind(), g.inputs(), g.output())
+            .expect("gates re-apply to the same nets");
+    }
+    for &po in n.outputs() {
+        b.mark_output(po);
+    }
+    for pi in inputs {
+        if rng.gen_index(4) == 0 {
+            b.mark_output(pi);
+        }
+    }
+    b.finish().expect("extra inputs keep a netlist valid")
 }
 
 /// Random layered-DAG specs within the given size bounds, shrinking

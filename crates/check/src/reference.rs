@@ -5,9 +5,11 @@
 //! The serial [`heuristic2`] and [`exact`] state-tree searches are kept
 //! here as the ground truth the search engine's plans must reproduce bit
 //! for bit at any worker count. [`greedy_assign`] and [`exact_assign`] are
-//! the gate trees the allocation-free ones in `svtox-core` replaced, and
+//! the gate trees the allocation-free ones in `svtox-core` replaced,
 //! [`relaxed_analysis`] is a cold timing analysis that takes relaxed
-//! floors over every version × pin with plain table lookups.
+//! floors over every version × pin with plain table lookups, and
+//! [`transitive_fanouts`] is the per-input DFS that `Problem::tfo`'s
+//! support-word sweep replaced.
 
 use std::time::{Duration, Instant};
 
@@ -608,4 +610,57 @@ pub fn relaxed_analysis(
         .into_iter()
         .map(|(rise, fall, _, _)| (rise, fall))
         .collect())
+}
+
+/// Every primary input's transitive-fanout gates, by input position, in
+/// ascending gate id: one DFS, one sort and one `Vec` per input.
+#[must_use]
+pub fn transitive_fanouts(netlist: &Netlist) -> Vec<Vec<GateId>> {
+    let mut seen = vec![usize::MAX; netlist.num_gates()];
+    netlist
+        .inputs()
+        .iter()
+        .enumerate()
+        .map(|(ii, &pi)| {
+            let mut cone = Vec::new();
+            let mut stack: Vec<GateId> =
+                netlist.net(pi).fanouts().iter().map(|&(g, _)| g).collect();
+            while let Some(g) = stack.pop() {
+                if seen[g.index()] == ii {
+                    continue;
+                }
+                seen[g.index()] = ii;
+                cone.push(g);
+                let out = netlist.gate(g).output();
+                stack.extend(netlist.net(out).fanouts().iter().map(|&(g2, _)| g2));
+            }
+            cone.sort_unstable();
+            cone
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::domain::{inverter_array, test_library};
+    use svtox_netlist::generators::{benchmark, benchmark_names};
+
+    #[test]
+    fn tfo_cones_are_complete() {
+        let lib = test_library();
+        let mut netlists: Vec<Netlist> = benchmark_names()
+            .into_iter()
+            .map(|name| benchmark(name).unwrap())
+            .collect();
+        assert_eq!(netlists.len(), 11);
+        netlists.push(inverter_array(32_768));
+        for n in &netlists {
+            let p = Problem::new(n, &lib, TimingConfig::default()).unwrap();
+            let want = transitive_fanouts(n);
+            for (i, cone) in want.iter().enumerate() {
+                assert_eq!(p.tfo(i), &cone[..], "{} input {i}", n.name());
+            }
+        }
+    }
 }

@@ -12,6 +12,7 @@
 //! | `core.eco_eq_cold` | warm-seeded `rerun_after_edit` vs a cold re-optimization of the edited netlist, bit for bit at 1/2/4 workers |
 //! | `netlist.strash_preserves_function` | structurally-hashed netlist vs the original, lane-for-lane under `PackedSimulator`; census and idempotence |
 //! | `netlist.edit_eq_rebuild` | a random edit script applied incrementally vs a from-scratch rebuild of the same structure |
+//! | `core.tfo_eq_reference` | `Problem::tfo`'s support-word sweep vs the per-input DFS reference, element for element, on random DAGs of 40–160 inputs (across the 64- and 128-input block edges) with idle inputs and inputs that are also primary outputs |
 //! | `core.bound_eq_reference` | event-driven, table-driven `BoundTracker` vs the static-cone `possible_states` reference, bit for bit after every step of a random DFS walk (repeats and X-undo included) on DAGs and c432/c880 |
 //! | `core.bound_sound` | `BoundTracker::bound()` ≤ the exhaustive minimum of Σ `min_leak` over every completion of a random partial vector, in all three modes; equal once every input is decided |
 //! | `core.leaf_eq_reference` | `Optimizer::evaluate_leaf` (greedy and exact gate trees) vs the cloned-config references: choices, leakage and delay bits over two leaves on one analyzer; after a greedy leaf every net's timing and load bits equal a fresh analyzer's, after an exact leaf the delay is within the engine epsilon of a `recompute` |
@@ -57,8 +58,8 @@ use svtox_sta::{GateConfig, Sta, TimingConfig};
 use svtox_tech::{Current, Device, MosType, OxideClass, Technology, Time, Voltage, VtClass};
 
 use crate::domain::{
-    random_circuit, random_edit_script, rebuild_netlist, test_library, BenchMutations, DagStrategy,
-    OptConfigStrategy,
+    random_circuit, random_edit_script, rebuild_netlist, test_library, with_idle_inputs,
+    BenchMutations, DagStrategy, OptConfigStrategy,
 };
 use crate::reference::{self, ReferenceBoundTracker};
 use crate::report::PropertyReport;
@@ -481,6 +482,36 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                 Ok(())
             },
             &scaled(0.5),
+        ));
+    }
+
+    // --- Transitive-fanout cones vs the per-input DFS. -----------------
+    if wanted("core.tfo_eq_reference") {
+        let dags = DagStrategy {
+            inputs: (40, 160),
+            gates: (1, 320),
+            depth: (2, 8),
+        };
+        reports.push(check_property(
+            "core.tfo_eq_reference",
+            &(dags, AnyU64),
+            |(spec, seed)| {
+                let dag = random_dag(spec).map_err(|e| format!("generator: {e}"))?;
+                let n = with_idle_inputs(&dag, *seed);
+                let problem =
+                    Problem::new(&n, &lib, TimingConfig::default()).map_err(|e| e.to_string())?;
+                for (i, want) in reference::transitive_fanouts(&n).iter().enumerate() {
+                    let got = problem.tfo(i);
+                    if got != &want[..] {
+                        return Err(format!(
+                            "input {i} of {}: tfo {got:?}, reference {want:?}",
+                            n.num_inputs()
+                        ));
+                    }
+                }
+                Ok(())
+            },
+            config,
         ));
     }
 
@@ -1779,6 +1810,7 @@ pub fn builtin_property_names() -> Vec<&'static str> {
         "netlist.strash_preserves_function",
         "netlist.edit_eq_rebuild",
         "core.bound_eq_reference",
+        "core.tfo_eq_reference",
         "core.bound_sound",
         "core.leaf_eq_reference",
         "core.leaf_cutoff_eq_full",

@@ -1416,7 +1416,12 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             };
             obs.add("cells.stack_solves", lib.stack_solves() as u64);
             obs.add("cells.arc_tables", lib.arc_tables() as u64);
-            let problem = Problem::new(&netlist, &lib, TimingConfig::default())?;
+            let problem = {
+                let _span = obs.span("core.problem");
+                Problem::new(&netlist, &lib, TimingConfig::default())?
+            };
+            let tfo_members = (0..netlist.num_inputs()).map(|i| problem.tfo(i).len());
+            obs.add("core.tfo.members", tfo_members.sum::<usize>() as u64);
             // The improvement pass always runs under the engine: default to
             // a short budget, let --heuristic2 or --time-budget widen it.
             let budget = args

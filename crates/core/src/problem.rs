@@ -136,8 +136,10 @@ pub struct Problem<'a> {
     /// Every (kind, mode) tri-level bound table, back to back; see
     /// [`Problem::bound_table`].
     bound_tables: Vec<f64>,
-    /// Transitive fanout gates of each primary input (by input position).
-    tfo: Vec<Vec<GateId>>,
+    /// Transitive-fanout cones, flat: input `i`'s gates, ascending, are
+    /// `tfo_gates[tfo_start[i]..tfo_start[i + 1]]`.
+    tfo_start: Vec<usize>,
+    tfo_gates: Vec<GateId>,
 }
 
 impl<'a> Problem<'a> {
@@ -176,7 +178,7 @@ impl<'a> Problem<'a> {
             }
             tables[slot] = Some(KindEntry { table, cell });
         }
-        let tfo = transitive_fanouts(netlist);
+        let (tfo_start, tfo_gates) = transitive_fanouts(netlist);
         Ok(Self {
             netlist,
             library,
@@ -185,7 +187,8 @@ impl<'a> Problem<'a> {
             d_slow,
             tables,
             bound_tables,
-            tfo,
+            tfo_start,
+            tfo_gates,
         })
     }
 
@@ -340,7 +343,7 @@ impl<'a> Problem<'a> {
     /// The transitive-fanout gates of a primary input (by input position).
     #[must_use]
     pub fn tfo(&self, input_index: usize) -> &[GateId] {
-        &self.tfo[input_index]
+        &self.tfo_gates[self.tfo_start[input_index]..self.tfo_start[input_index + 1]]
     }
 
     fn entry(&self, kind: GateKind) -> Option<&KindEntry<'a>> {
@@ -389,30 +392,97 @@ fn tri_level_bounds(min_leak: &[f64], arity: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Computes per-primary-input transitive fanout gate sets.
-fn transitive_fanouts(netlist: &Netlist) -> Vec<Vec<GateId>> {
-    let n_gates = netlist.num_gates();
-    let mut result = Vec::with_capacity(netlist.num_inputs());
-    let mut seen = vec![u32::MAX; n_gates];
-    for (ii, &pi) in netlist.inputs().iter().enumerate() {
-        let mark = ii as u32;
-        let mut cone = Vec::new();
-        let mut stack: Vec<GateId> = netlist.net(pi).fanouts().iter().map(|&(g, _)| g).collect();
-        while let Some(g) = stack.pop() {
-            if seen[g.index()] == mark {
-                continue;
-            }
-            seen[g.index()] = mark;
-            cone.push(g);
-            let out = netlist.gate(g).output();
-            stack.extend(netlist.net(out).fanouts().iter().map(|&(g2, _)| g2));
+/// Every primary input's transitive-fanout gates, flat: input `i`'s cone,
+/// in ascending gate id, is `gates[start[i]..start[i + 1]]`.
+///
+/// Inputs go in blocks of 64, one support bit each. Per block, a DFS from
+/// the block's inputs finds the gates they reach and counts each reached
+/// gate's reached fan-in drivers; a Kahn sweep over those gates alone then
+/// ORs every gate's support word into its consumers', so a gate's word
+/// ends up holding the block inputs whose cone it lies in. The block's
+/// reached gates, sorted by id, are written out bit by bit. A block
+/// touches only the gates it reaches, once each, so the cost never exceeds
+/// that of one DFS per input, and logic shared by a block's cones is
+/// walked once instead of once per input.
+fn transitive_fanouts(netlist: &Netlist) -> (Vec<usize>, Vec<GateId>) {
+    let n_inputs = netlist.num_inputs();
+    let fanouts = |net| netlist.net(net).fanouts().iter().map(|&(g, _)| g);
+    // `word[g]`: the block inputs reaching gate g; `pending[g]`: its
+    // fan-in edges from reached gates not yet swept. All three planes are
+    // back to zero after each block.
+    let mut word = vec![0u64; netlist.num_gates()];
+    let mut pending = vec![0u32; netlist.num_gates()];
+    let mut seen = vec![false; netlist.num_gates()];
+    let mut reached: Vec<GateId> = Vec::new();
+    let mut stack: Vec<GateId> = Vec::new();
+    let mut start = Vec::with_capacity(n_inputs + 1);
+    start.push(0usize);
+    let mut gates: Vec<GateId> = Vec::new();
+    for block in netlist.inputs().chunks(64) {
+        reached.clear();
+        for &pi in block {
+            stack.extend(fanouts(pi));
         }
-        // Sorting keeps downstream iteration cache-friendly and
-        // deterministic.
-        cone.sort_unstable();
-        result.push(cone);
+        while let Some(g) = stack.pop() {
+            if !std::mem::replace(&mut seen[g.index()], true) {
+                reached.push(g);
+                for c in fanouts(netlist.gate(g).output()) {
+                    pending[c.index()] += 1;
+                    stack.push(c);
+                }
+            }
+        }
+        for (bit, &pi) in block.iter().enumerate() {
+            for g in fanouts(pi) {
+                word[g.index()] |= 1 << bit;
+            }
+        }
+        // Kahn over the reached gates: `stack` holds the gates whose
+        // reached drivers have all been swept.
+        stack.extend(reached.iter().filter(|g| pending[g.index()] == 0));
+        while let Some(g) = stack.pop() {
+            let w = word[g.index()];
+            for c in fanouts(netlist.gate(g).output()) {
+                word[c.index()] |= w;
+                pending[c.index()] -= 1;
+                if pending[c.index()] == 0 {
+                    stack.push(c);
+                }
+            }
+        }
+        reached.sort_unstable();
+        // Cone lengths, then each cone's write position in `gates`.
+        let mut cursor = [0usize; 64];
+        for g in &reached {
+            for_each_bit(word[g.index()], |bit| cursor[bit] += 1);
+        }
+        let mut end = gates.len();
+        for slot in &mut cursor[..block.len()] {
+            end += std::mem::replace(slot, end);
+            start.push(end);
+        }
+        if let Some(&any) = reached.first() {
+            // Every new slot is overwritten below.
+            gates.resize(end, any);
+        }
+        for &g in &reached {
+            for_each_bit(word[g.index()], |bit| {
+                gates[cursor[bit]] = g;
+                cursor[bit] += 1;
+            });
+            word[g.index()] = 0;
+            seen[g.index()] = false;
+        }
     }
-    result
+    (start, gates)
+}
+
+/// Calls `f` with the index of every set bit of `word`, lowest first.
+fn for_each_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
 }
 
 #[cfg(test)]
@@ -520,21 +590,31 @@ mod tests {
 
     #[test]
     fn tfo_cones_are_complete() {
-        let (n, lib) = setup();
-        let p = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
-        // Every gate fed directly by an input must be in that input's cone.
-        for (ii, &pi) in n.inputs().iter().enumerate() {
-            let cone = p.tfo(ii);
-            for &(g, _) in n.net(pi).fanouts() {
-                assert!(cone.contains(&g));
+        let lib = Library::new(Technology::predictive_65nm(), LibraryOptions::default()).unwrap();
+        for name in svtox_netlist::generators::benchmark_names() {
+            let n = benchmark(name).unwrap();
+            let p = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+            let consumers = |net| n.net(net).fanouts().iter().map(|&(g, _)| g);
+            for (ii, &pi) in n.inputs().iter().enumerate() {
+                let cone = p.tfo(ii);
+                // Sorted and duplicate-free.
+                assert!(cone.windows(2).all(|w| w[0] < w[1]), "{name} input {ii}");
+                let member = |g: &GateId| cone.binary_search(g).is_ok();
+                // Holds the input's consumers and is closed under fanout,
+                // so it covers the transitive fanout...
+                assert!(consumers(pi).all(|g| member(&g)), "{name} input {ii}");
+                for &g in cone {
+                    assert!(consumers(n.gate(g).output()).all(|c| member(&c)));
+                    // ...and every member is fed by the input or by another
+                    // member, so in a DAG it holds nothing more.
+                    assert!(n
+                        .gate(g)
+                        .inputs()
+                        .iter()
+                        .any(|&net| net == pi || n.net(net).driver().is_some_and(|d| member(&d))));
+                }
             }
-            // Cones are sorted and duplicate-free.
-            assert!(cone.windows(2).all(|w| w[0] < w[1]));
         }
-        // Total cone mass is positive and bounded.
-        let total: usize = (0..n.num_inputs()).map(|i| p.tfo(i).len()).sum();
-        assert!(total >= n.num_gates());
-        assert!(total <= n.num_gates() * n.num_inputs());
     }
 
     #[test]

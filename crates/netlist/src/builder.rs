@@ -64,6 +64,8 @@ pub struct NetlistBuilder {
     fanins: Vec<NetId>,
     gate_out: Vec<NetId>,
     inputs: Vec<NetId>,
+    /// By net: whether it is in `inputs`.
+    is_input: Vec<bool>,
     outputs: Vec<NetId>,
     auto_name: u64,
     /// Canonical `(kind, sorted-inputs)` → existing output net. `None`
@@ -94,6 +96,7 @@ impl NetlistBuilder {
             fanins: Vec::new(),
             gate_out: Vec::new(),
             inputs: Vec::new(),
+            is_input: Vec::new(),
             outputs: Vec::new(),
             auto_name: 0,
             strash: None,
@@ -132,6 +135,7 @@ impl NetlistBuilder {
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
         let id = self.new_net(name.into());
         self.inputs.push(id);
+        self.is_input[id.index()] = true;
         id
     }
 
@@ -151,12 +155,13 @@ impl NetlistBuilder {
     /// Returns [`NetlistError::MultipleDrivers`] if the net is already driven
     /// or already an input.
     pub fn promote_to_input(&mut self, net: NetId) -> Result<(), NetlistError> {
-        if self.nets[net.index()].driver.is_some() || self.inputs.contains(&net) {
+        if self.nets[net.index()].driver.is_some() || self.is_input[net.index()] {
             return Err(NetlistError::MultipleDrivers(
                 self.nets[net.index()].name.clone(),
             ));
         }
         self.inputs.push(net);
+        self.is_input[net.index()] = true;
         Ok(())
     }
 
@@ -249,7 +254,7 @@ impl NetlistBuilder {
         if output.index() >= self.nets.len() {
             return Err(NetlistError::UnknownNet(output.0));
         }
-        if self.nets[output.index()].driver.is_some() || self.inputs.contains(&output) {
+        if self.nets[output.index()].driver.is_some() || self.is_input[output.index()] {
             return Err(NetlistError::MultipleDrivers(
                 self.nets[output.index()].name.clone(),
             ));
@@ -268,7 +273,7 @@ impl NetlistBuilder {
 
     /// Marks a net as a primary output (idempotent).
     pub fn mark_output(&mut self, net: NetId) {
-        if !self.outputs.contains(&net) {
+        if !std::mem::replace(&mut self.nets[net.index()].is_output, true) {
             self.outputs.push(net);
         }
     }
@@ -302,7 +307,9 @@ impl NetlistBuilder {
             name,
             driver: None,
             fanouts: Vec::new(),
+            is_output: false,
         });
+        self.is_input.push(false);
         id
     }
 }

@@ -76,6 +76,7 @@ impl Netlist {
             name,
             driver: Some(gid),
             fanouts: Vec::new(),
+            is_output: false,
         });
         // The new gate has the largest id, so appending keeps each fanout
         // list sorted by (gate, pin).
@@ -117,7 +118,7 @@ impl Netlist {
                 self.nets[out.index()].fanouts.len()
             )));
         }
-        if self.outputs.contains(&out) {
+        if self.nets[out.index()].is_output {
             return Err(NetlistError::Edit(format!(
                 "cannot remove {gate}: its output `{}` is a primary output",
                 self.nets[out.index()].name
@@ -259,13 +260,15 @@ impl Netlist {
         if from == to {
             return Ok(());
         }
-        if self.outputs.contains(&to) {
+        if self.nets[to.index()].is_output {
             return Err(NetlistError::Edit(format!(
                 "net `{}` is already a primary output",
                 self.nets[to.index()].name
             )));
         }
         self.outputs[pos] = to;
+        self.nets[from.index()].is_output = false;
+        self.nets[to.index()].is_output = true;
         self.dirty.insert(from);
         self.dirty.insert(to);
         Ok(())

@@ -68,6 +68,8 @@ pub struct Net {
     /// the edit API inserts at the sorted position, so the invariant holds
     /// for both built and edited netlists.
     pub(crate) fanouts: Vec<(GateId, u8)>,
+    /// Whether the net is in the netlist's primary-output list.
+    pub(crate) is_output: bool,
 }
 
 impl Net {
@@ -310,7 +312,7 @@ impl Netlist {
     /// Whether a net is a primary output.
     #[must_use]
     pub fn is_primary_output(&self, id: NetId) -> bool {
-        self.outputs.contains(&id)
+        self.net(id).is_output
     }
 
     /// Finds a net by name.
@@ -458,9 +460,12 @@ impl Netlist {
         if self.inputs.is_empty() || self.kinds.is_empty() {
             return Err(NetlistError::Empty);
         }
+        let mut is_pi = vec![false; self.nets.len()];
+        for &pi in &self.inputs {
+            is_pi[pi.index()] = true;
+        }
         // Every net must be driven (by a gate or by being a PI).
-        for (i, net) in self.nets.iter().enumerate() {
-            let is_pi = self.inputs.contains(&NetId(i as u32));
+        for (net, &is_pi) in self.nets.iter().zip(&is_pi) {
             if net.driver.is_none() && !is_pi {
                 return Err(NetlistError::UndefinedSignal(net.name.clone()));
             }
@@ -475,8 +480,7 @@ impl Netlist {
             drive_count[out.index()] += 1;
         }
         for (i, &count) in drive_count.iter().enumerate() {
-            let is_pi = self.inputs.contains(&NetId(i as u32));
-            if count > 1 || (count == 1 && is_pi) {
+            if count > 1 || (count == 1 && is_pi[i]) {
                 return Err(NetlistError::MultipleDrivers(self.nets[i].name.clone()));
             }
         }

@@ -462,4 +462,42 @@ OUTPUT(23)
         let n = parse_bench("\n# header\nINPUT(a) # trailing\n\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
         assert_eq!(n.num_gates(), 1);
     }
+
+    #[test]
+    fn a_wide_inverter_array_parses_and_maps() {
+        // 32,768 inputs each driving one inverter that is a primary
+        // output: about 1.5 MiB of text, every line an I/O declaration or
+        // a gate on one, so a per-call scan of the input or output list
+        // would make parsing and mapping quadratic.
+        const N: usize = 32_768;
+        let mut text = String::new();
+        for k in 0..N {
+            text.push_str(&format!("INPUT(a{k})\n"));
+        }
+        for k in 0..N {
+            text.push_str(&format!("OUTPUT(y{k})\n"));
+        }
+        for k in 0..N {
+            text.push_str(&format!("y{k} = NOT(a{k})\n"));
+        }
+        let parsed = parse_bench(&text).unwrap();
+        let mapped = crate::map_to_primitives(&parsed, crate::MappingOptions::default()).unwrap();
+        for n in [&parsed, &mapped] {
+            assert_eq!(n.num_inputs(), N);
+            assert_eq!(n.num_outputs(), N);
+            assert_eq!(n.num_gates(), N);
+            for k in 0..N {
+                let (pi, po) = (n.inputs()[k], n.outputs()[k]);
+                assert_eq!(n.net(pi).name(), format!("a{k}"));
+                assert!(n.is_primary_input(pi) && !n.is_primary_output(pi));
+                assert!(n.is_primary_output(po) && !n.is_primary_input(po));
+                let inv = n.gate(n.net(po).driver().unwrap());
+                assert_eq!((inv.kind(), inv.inputs()), (GateKind::Inv, &[pi][..]));
+            }
+        }
+        // Mapping names its nets afresh; parsing keeps the text's names.
+        for (k, &po) in parsed.outputs().iter().enumerate() {
+            assert_eq!(parsed.net(po).name(), format!("y{k}"));
+        }
+    }
 }

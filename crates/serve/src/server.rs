@@ -897,7 +897,11 @@ fn execute(state: &Arc<ServerState>, job: &Arc<JobRecord>) -> JobResult {
         Ok(p) => p,
         Err(e) => return failed(&circuit, e.to_string()),
     };
-    let problem = match Problem::new(&netlist, &library, TimingConfig::default()) {
+    let problem = {
+        let _span = obs.span("core.problem");
+        Problem::new(&netlist, &library, TimingConfig::default())
+    };
+    let problem = match problem {
         Ok(p) => p,
         Err(e) => return failed(&circuit, e.to_string()),
     };

@@ -321,6 +321,8 @@ fn two_spellings_of_one_circuit_share_a_netlist_cache_entry() {
     assert_eq!(counter("serve.cache.netlist_misses"), 1, "{metrics}");
     assert_eq!(counter("serve.cache.netlist_hits"), 1, "{metrics}");
     assert_eq!(counter("serve.cache.netlist_dedup_hits"), 1, "{metrics}");
+    // Each job builds its own problem, timed under `core.problem`.
+    assert_eq!(counter("span.core.problem.count"), 2, "{metrics}");
     handle.shutdown();
 }
 
